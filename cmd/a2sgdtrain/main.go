@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"a2sgd"
+	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/models"
 )
 
@@ -60,7 +61,8 @@ func main() {
 	density := flag.Float64("density", 0, "sparsifier density override (0 = paper default 0.001; prefer density= in -algo)")
 	transport := flag.String("transport", "inproc", "worker fabric: inproc|tcp")
 	faults := flag.String("faults", "",
-		"fault-injection scenario, e.g. 'delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)' — rules: delay|bw|loss|dup|reorder|straggler|crash|stall|flap|partition, plus seed()/deadline()/retry()")
+		"fault-injection scenario, e.g. 'delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)' — rules: "+
+			strings.Join(faultnet.RuleNames(), "|")+", plus seed()/deadline()/retry()")
 	bucketBytes := flag.Int("bucket-bytes", 0, "gradient bucket budget in bytes (0 = whole model)")
 	overlap := flag.Bool("overlap", false, "pipeline per-bucket sync behind encode")
 	concurrency := flag.Int("concurrency", 0, "concurrent bucket exchanges via comm tag-space contexts (0/1 = deterministic; requires -overlap)")

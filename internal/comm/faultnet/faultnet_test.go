@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +38,26 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sc, sc2) {
 			t.Errorf("round trip diverged:\n src %q\n 1st %+v\n 2nd %+v", src, sc, sc2)
+		}
+	}
+}
+
+// TestRuleNamesMatchParser: every name RuleNames lists — the list the
+// command-line help prints — is a rule the parser knows, and each kind's
+// canonical String form starts with its listed name.
+func TestRuleNamesMatchParser(t *testing.T) {
+	names := RuleNames()
+	for k, name := range names {
+		if _, err := Parse(name + "()"); err != nil && strings.Contains(err.Error(), "unknown rule") {
+			t.Errorf("RuleNames lists %q, parser: %v", name, err)
+		}
+		if s := (Rule{Kind: RuleKind(k)}).String(); !strings.HasPrefix(s, name+"(") {
+			t.Errorf("kind %d renders %q, listed as %q", k, s, name)
+		}
+	}
+	for _, want := range []string{"degrade", "preempt"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("RuleNames %v misses %q", names, want)
 		}
 	}
 }

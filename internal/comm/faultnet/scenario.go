@@ -67,6 +67,17 @@ var ruleNames = map[RuleKind]string{
 	RulePreempt: "preempt", RuleDegrade: "degrade",
 }
 
+// RuleNames returns the rule names Parse accepts, in RuleKind order — the
+// one list command-line help texts derive from, so they cannot drift from
+// the parser.
+func RuleNames() []string {
+	names := make([]string, len(ruleNames))
+	for k := range names {
+		names[k] = ruleNames[RuleKind(k)]
+	}
+	return names
+}
+
 // Link selects the undirected rank pairs a rule applies to; -1 is the
 // wildcard on either end.
 type Link struct{ A, B int }
@@ -494,7 +505,7 @@ func (s *Scenario) parseRule(name, args string) error {
 		r.After = a.dur("after", 0)
 		r.Dur = a.dur("dur", 20*time.Millisecond)
 	default:
-		return fmt.Errorf("faultnet: unknown rule %q (want delay/bw/loss/dup/reorder/straggler/degrade/crash/stall/preempt/flap/partition/seed/deadline/retry)", name)
+		return fmt.Errorf("faultnet: unknown rule %q (want %s/seed/deadline/retry)", name, strings.Join(RuleNames(), "/"))
 	}
 	if err := a.finish(name); err != nil {
 		return err

@@ -13,9 +13,8 @@ import (
 //
 // Every registration carries a CostModel hook so the planner and the auto
 // policy can price the spec without building it. The EncSecPerElem constants
-// are CPU estimates in the nanosecond-per-element range, ordered by the
-// Figure-2 measurements (rand-k's O(k) pick is cheapest, the heap-selection
-// and entropy-coding methods dearest); payload accounting mirrors each
+// are CPU estimates in the nanosecond-per-element range (see the note at the
+// topk registration for which are measured); payload accounting mirrors each
 // algorithm's PayloadBytes exactly.
 
 // densityParam is the shared schema of the sparsifiers' selection fraction.
@@ -107,20 +106,22 @@ func init() {
 			return CostModel{BytesPerElem: 4, Kind: netsim.ExchangeAllreduce}
 		},
 	})
-	// topk/qsgd EncSecPerElem reflect the post-zero-allocation measurements
-	// (BENCH_hotpath.json: ~2.5x between the heap selection and the packed
-	// quantizer at vgg16-scale buckets). Full measured calibration — feeding
+	// topk, gaussiank and qsgd EncSecPerElem are measured: warm Encode on
+	// 1 Mi-element buckets of changing Gaussian gradients (2-vCPU Xeon,
+	// go1.24, SIMD kernels) — Top-K's radix select about twice Gaussian-K's
+	// fit-and-scan, QSGD's stochastic rounding dearest. The other constants
+	// are earlier estimates. Full measured calibration — feeding
 	// NewIterModel's encode timings back into these hooks — is the ROADMAP
 	// "measured cost models" follow-up.
-	Register("topk", sparsifier("top-k magnitude sparsification with error feedback", 1e-8,
+	Register("topk", sparsifier("top-k magnitude sparsification with error feedback", 5e-9,
 		func(o Options) Algorithm { return NewTopK(o) }))
-	Register("gaussiank", sparsifier("Gaussian-threshold sparsification with error feedback", 5e-9,
+	Register("gaussiank", sparsifier("Gaussian-threshold sparsification with error feedback", 2.5e-9,
 		func(o Options) Algorithm { return NewGaussianK(o) }))
 	Register("randk", sparsifier("uniform random-k sparsification with error feedback", 3e-9,
 		func(o Options) Algorithm { return NewRandK(o) }))
 	Register("dgc", sparsifier("deep gradient compression (top-k + momentum correction)", 8e-9,
 		func(o Options) Algorithm { return NewDGC(o) }))
-	Register("qsgd", quantizer("QSGD stochastic quantization, packed words", 4e-9,
+	Register("qsgd", quantizer("QSGD stochastic quantization, packed words", 1.4e-8,
 		func(levels int) float64 { return float64(qsgdBitsPerElem(levels)) / 8 },
 		netsim.ExchangeAllreduce,
 		func(o Options) Algorithm { return NewQSGD(o) }))

@@ -30,7 +30,7 @@ func NewDGC(o Options) *DGC {
 		momentum: 0.9,
 		u:        make([]float32, o.N),
 		v:        make([]float32, o.N),
-		sc:       newSparseScratch(o.N, o.K()),
+		sc:       newSparseScratch(o.K()),
 	}
 }
 

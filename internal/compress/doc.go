@@ -29,9 +29,9 @@
 //
 // # Payload ownership
 //
-// Encode is allocation-free in steady state: selection heaps, quantization
-// word buffers and payload slices live on the algorithm instance and are
-// recycled across calls. Consequently a Payload's Data aliases instance
+// Encode is allocation-free in steady state: selection candidates,
+// quantization word buffers and payload slices live on the algorithm
+// instance and are recycled across calls. Consequently a Payload's Data aliases instance
 // scratch and is valid only until the next Encode on the same instance —
 // callers that need a payload to survive longer copy Data explicitly, and
 // distinct instances (e.g. Bucketed's per-bucket algorithms) never share

@@ -27,19 +27,17 @@ type QSGD struct {
 	rng     *tensor.RNG
 
 	// Reusable scratch (zero-allocation steady state): the packed word
-	// buffer and the bit-cast payload of the current Encode, the word view
-	// of the stream being decoded, the allgathered streams and the decoded
-	// chunk of Exchange, plus per-block field and stochastic-rounding
-	// buffers for the quantization kernel. The Encode payload aliases the
-	// packed words — valid until the next Encode on this instance.
-	words       []uint32
-	data        []float32
-	decodeWords []uint32
-	gatherBuf   []float32
-	decodeBuf   []float32
-	fields      []uint32
-	rnd         []float64
-	fv          tensor.VecView // flat-call adapter view
+	// buffer and the bit-cast payload of the current Encode, per-block
+	// field and stochastic-rounding buffers for the quantization kernel,
+	// and the exchange buffers (shared with Decode). The Encode payload
+	// aliases the packed words — valid until the next Encode on this
+	// instance.
+	words  []uint32
+	data   []float32
+	fields []uint32
+	rnd    []float64
+	ex     levelExchange
+	fv     tensor.VecView // flat-call adapter view
 }
 
 // NewQSGD builds a QSGD quantizer from the options (levels = QuantLevels).
@@ -190,33 +188,70 @@ func (q *QSGD) EncodeView(v *tensor.VecView) Payload {
 	return Payload{Data: wordsPayload(words, &q.data), Bits: int64(n)*int64(q.bitsPer) + 32}
 }
 
-// Decode expands one packed stream into dst (adding is done by the caller).
+// negZero is the additive identity of IEEE addition: -0 + x == x bitwise
+// for every x, +0 and -0 included.
+var negZero = math.Float32frombits(1 << 31)
+
+// levelTable fills *buf with the decode table of one stream: entry f is the
+// value the level decoder assigns field f — norm·level/s with level = f>>1,
+// negated when the sign bit f&1 is set — times a. It is the per-element
+// decode expression evaluated once per code instead of once per element, so
+// a = 1 decodes bitwise, and a = 1/P gives exactly the float32 product
+// a·v that the averaging AXPY rounded before its add.
+func levelTable(buf *[]float32, norm, a float32, s int, bitsPer uint) []float32 {
+	lut := growF32(buf, 1<<bitsPer)
+	for f := range lut {
+		v := norm * float32(f>>1) / float32(s)
+		if f&1 == 1 {
+			v = -v
+		}
+		lut[f] = a * v
+	}
+	return lut
+}
+
+// levelExchange is the exchange half shared by QSGD and TernGrad (the s=1,
+// 2-bit case): allgather every worker's packed stream, then add each
+// stream's scaled values straight into the view's segments through its
+// decode table — one pass per stream, no decode buffer. The view starts at
+// +0 and no IEEE sum starting there reaches -0, so a -0 entry adds exactly
+// like the +0 a decoded level 0 used to contribute, and the result is
+// bitwise that of decoding each stream and averaging it in with AXPY.
+type levelExchange struct {
+	gather []float32 // allgathered streams
+	words  []uint32  // word copy of one stream (builds without zero-copy views)
+	lut    []float32 // decode table of the current stream
+}
+
+func (e *levelExchange) run(p Payload, v *tensor.VecView, c *comm.Communicator, s int, bitsPer uint) error {
+	all := growF32(&e.gather, len(p.Data)*c.Size())
+	if err := c.Allgather(p.Data, all); err != nil {
+		return err
+	}
+	v.Zero()
+	inv := 1 / float32(c.Size())
+	for r := 0; r < c.Size(); r++ {
+		words := payloadWords(all[r*len(p.Data):(r+1)*len(p.Data)], &e.words)
+		lut := levelTable(&e.lut, math.Float32frombits(words[0]), inv, s, bitsPer)
+		bitPos := uint64(0)
+		for _, seg := range v.Segments() {
+			bitPos = tensor.AccumulateFields(seg, words[1:], bitsPer, bitPos, lut)
+		}
+	}
+	return nil
+}
+
+// Decode expands one packed stream into dst.
 func (q *QSGD) Decode(data []float32, dst []float32) {
-	words := payloadWords(data, &q.decodeWords)
+	words := payloadWords(data, &q.ex.words)
 	norm := math.Float32frombits(words[0])
 	if norm == 0 {
 		tensor.Zero(dst)
 		return
 	}
-	mask := uint32(1<<q.bitsPer) - 1
-	bitPos := uint64(0)
-	for i := range dst {
-		w := 1 + bitPos/32
-		off := uint(bitPos % 32)
-		field := words[w] >> off
-		if off+uint(q.bitsPer) > 32 && int(w+1) < len(words) {
-			field |= words[w+1] << (32 - off)
-		}
-		field &= mask
-		sign := field & 1
-		level := field >> 1
-		v := norm * float32(level) / float32(q.s)
-		if sign == 1 {
-			v = -v
-		}
-		dst[i] = v
-		bitPos += uint64(q.bitsPer)
-	}
+	// Accumulating onto -0 stores every table value exactly.
+	tensor.Fill(dst, negZero)
+	tensor.AccumulateFields(dst, words[1:], q.bitsPer, 0, levelTable(&q.ex.lut, norm, 1, q.s, q.bitsPer))
 }
 
 // Exchange allgathers every worker's packed stream (equal sizes), decodes
@@ -227,23 +262,11 @@ func (q *QSGD) Exchange(p Payload, g []float32, c *comm.Communicator) error {
 	return q.ExchangeView(p, q.fv.Reset1(g), c)
 }
 
-// ExchangeView implements Algorithm: each worker's stream is decoded into
-// contiguous scratch and averaged into the view's segments with the
-// per-lane AXPY — bitwise identical to the flat reconstruction.
+// ExchangeView implements Algorithm: each worker's stream is decoded and
+// averaged straight into the view's segments (levelExchange) — bitwise
+// identical to the flat reconstruction.
 func (q *QSGD) ExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator) error {
-	n := v.Len()
-	all := growF32(&q.gatherBuf, len(p.Data)*c.Size())
-	if err := c.Allgather(p.Data, all); err != nil {
-		return err
-	}
-	buf := growF32(&q.decodeBuf, n)
-	v.Zero()
-	inv := 1 / float32(c.Size())
-	for r := 0; r < c.Size(); r++ {
-		q.Decode(all[r*len(p.Data):(r+1)*len(p.Data)], buf)
-		v.AXPY(inv, buf)
-	}
-	return nil
+	return q.ex.run(p, v, c, q.s, q.bitsPer)
 }
 
 // ExchangeKind implements Algorithm. The paper groups QSGD with the
@@ -283,15 +306,13 @@ type TernGrad struct {
 	rng *tensor.RNG
 	// Reusable scratch: packed words + bit-cast payload of the current
 	// Encode (the payload aliases the words — valid until the next
-	// Encode), the allgathered streams and the decoded chunk of Exchange,
-	// and per-block kernel buffers.
-	words     []uint32
-	data      []float32
-	gatherBuf []float32
-	buf       []float32
-	fields    []uint32
-	rnd       []float64
-	fv        tensor.VecView // flat-call adapter view
+	// Encode), per-block kernel buffers and the exchange buffers.
+	words  []uint32
+	data   []float32
+	fields []uint32
+	rnd    []float64
+	ex     levelExchange
+	fv     tensor.VecView // flat-call adapter view
 }
 
 // NewTernGrad builds a TernGrad quantizer.
@@ -341,36 +362,10 @@ func (t *TernGrad) Exchange(p Payload, g []float32, c *comm.Communicator) error 
 	return t.ExchangeView(p, t.fv.Reset1(g), c)
 }
 
-// ExchangeView implements Algorithm (decode into scratch, per-lane AXPY
-// into the view's segments).
+// ExchangeView implements Algorithm: the QSGD level exchange at s = 1 with
+// 2-bit fields, where level 1 decodes to the scale max|g| itself.
 func (t *TernGrad) ExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator) error {
-	n := v.Len()
-	all := growF32(&t.gatherBuf, len(p.Data)*c.Size())
-	if err := c.Allgather(p.Data, all); err != nil {
-		return err
-	}
-	buf := growF32(&t.buf, n)
-	v.Zero()
-	inv := 1 / float32(c.Size())
-	for r := 0; r < c.Size(); r++ {
-		chunk := all[r*len(p.Data) : (r+1)*len(p.Data)]
-		scale := math.Float32frombits(math.Float32bits(chunk[0]))
-		for i := 0; i < n; i++ {
-			w := math.Float32bits(chunk[1+2*i/32])
-			field := (w >> (uint(2*i) % 32)) & 3
-			if field&2 != 0 {
-				v := scale
-				if field&1 != 0 {
-					v = -v
-				}
-				buf[i] = v
-			} else {
-				buf[i] = 0
-			}
-		}
-		v.AXPY(inv, buf)
-	}
-	return nil
+	return t.ex.run(p, v, c, 1, 2)
 }
 
 // ExchangeKind implements Algorithm.

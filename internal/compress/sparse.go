@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"math"
+
 	"a2sgd/internal/comm"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/stats"
@@ -8,14 +10,14 @@ import (
 )
 
 // sparseScratch owns the reusable buffers of the sparsifying algorithms: the
-// selection heap, the (index, value) pair of the current selection and the
-// packed payload words. All of it is recycled across Encode calls on one
+// selection candidates, the (index, value) pair of the current selection and
+// the packed payload words. All of it is recycled across Encode calls on one
 // instance — the zero-allocation steady state the hot-path benchmarks pin —
 // which is why a sparse Payload is only valid until the next Encode on the
 // same instance (see the Payload contract in compress.go).
 type sparseScratch struct {
-	heap []int32                // top-k index heap, sized to the bucket length
-	abs  []float32              // |v| precomputed for the heap's comparisons
+	hist *[radixBins]int32      // top-k radix histogram, all zero between calls
+	cand []uint64               // top-k candidates, key<<32 | index, bucket length, allocated by the first selection
 	idx  []int32                // selected indices of the current Encode
 	val  []float32              // selected values of the current Encode
 	data []float32              // packed interleaved payload of the current Encode
@@ -27,18 +29,17 @@ type sparseScratch struct {
 // selected count varies around k (the threshold targets k only in
 // expectation), so sizing exactly to k made the first few Encodes grow the
 // idx/val/data buffers. A quarter of k plus a constant floor absorbs the
-// fluctuation so even the first Encode stays off the allocator.
+// fluctuation so those buffers keep their construction size.
 func selectionSlack(k int) int { return k + k/4 + 16 }
 
-// newSparseScratch pre-sizes the selection buffers with slack above k so
-// even the first Encode on an instance allocates only if the selection far
-// outgrows k (Top-K and Rand-K never grow; Gaussian-K fluctuates within the
-// slack in practice).
-func newSparseScratch(n, k int) sparseScratch {
+// newSparseScratch pre-sizes the k-sized selection buffers with slack above
+// k so they never regrow (Top-K and Rand-K never grow; Gaussian-K fluctuates
+// within the slack in practice). The bucket-length candidate buffer is left
+// to the first selection, like the error-feedback buffers (errorFeedback
+// says why).
+func newSparseScratch(k int) sparseScratch {
 	s := selectionSlack(k)
 	return sparseScratch{
-		heap: make([]int32, n),
-		abs:  make([]float32, n),
 		idx:  make([]int32, 0, s),
 		val:  make([]float32, 0, s),
 		data: make([]float32, 0, 2*s),
@@ -67,13 +68,52 @@ func (s *sparseScratch) valuesAt(v []float32) {
 	}
 }
 
-// topK selects the indices of the k largest |v| entries into s.idx using an
-// index max-heap built in O(n) followed by k pops of O(log n) — the
-// O(n + k log n) computation the paper's Table 2 lists. The magnitudes are
-// precomputed once into the abs scratch with the vector kernel so the
-// O(n log n)-ish comparison volume reads a flat array instead of re-deriving
-// |v[i]| per compare. The heap storage and the result slice live on the
-// scratch and are recycled across calls.
+// radixBits is the digit width of Top-K's radix select: 2048 histogram bins,
+// and the top digit — the exponent plus three mantissa bits of |x| — leaves
+// only a thin slice of a gradient's values tied with the threshold.
+const (
+	radixBits = 11
+	radixBins = 1 << radixBits
+)
+
+// magKey is |x| as an order-preserving integer: the float bits with the
+// sign cleared (so -0 and +0 share key 0, as they compare equal).
+func magKey(x float32) uint32 { return math.Float32bits(x) &^ (1 << 31) }
+
+// radixCut walks the histogram down from bin top, which must bound every
+// counted digit, and returns the bin holding the need-th largest key and
+// how many keys are still needed from it.
+func radixCut(hist *[radixBins]int32, top uint32, need int) (uint32, int) {
+	b := top
+	for need > int(hist[b]) {
+		need -= int(hist[b])
+		b--
+	}
+	return b, need
+}
+
+// topK selects the indices of the k largest |v| entries into s.idx, in
+// ascending index order; among magnitudes tied at the threshold the lowest
+// indices win. It is an O(n) radix select on the 31 magnitude bits:
+//
+//  1. Histogram the top radixBits bits of every key and find the bin b that
+//     holds the k-th largest.
+//  2. Collect every (key, index) with top digit >= b, in index order, into
+//     s.cand — the selection plus b's tied slice, a few k on gradient data.
+//  3. While the tie class still holds more keys than are needed, histogram
+//     the next digit over that class alone (11 bits, then the last 9) and
+//     narrow it.
+//  4. Keep the candidates above the class and, in index order, as many of
+//     the class as are needed.
+//
+// Steps 3 and 4 read the keys from s.cand, never from v, so they stream a
+// short array instead of gathering from the bucket. The histogram lives on
+// the scratch and is handed back zeroed — step 1's bins are cleared up to
+// the largest digit, step 3's are reset through the class — so a call on a
+// small bucket pays for the bins it touched, not for all 2048. The paper's
+// Table 2 lists O(n + k log n) for Top-K: the heap selection its
+// measurements used, which this replaces with identical results on
+// tie-free input. A warm call does not allocate.
 func (s *sparseScratch) topK(v []float32, k int) {
 	n := len(v)
 	if cap(s.idx) < k {
@@ -86,46 +126,68 @@ func (s *sparseScratch) topK(v []float32, k int) {
 		}
 		return
 	}
-	if cap(s.abs) < n {
-		s.abs = make([]float32, n)
+	if s.hist == nil {
+		s.hist = new([radixBins]int32)
 	}
-	av := s.abs[:n]
-	tensor.AbsInto(av, v)
-	abs := func(i int32) float32 { return av[i] }
-	if cap(s.heap) < n {
-		s.heap = make([]int32, n)
+	hist := s.hist
+	var top uint32 // largest digit counted: where the walk down starts
+	for _, x := range v {
+		d := magKey(x) >> (31 - radixBits)
+		hist[d]++
+		top = max(top, d)
 	}
-	heap := s.heap[:n]
-	for i := range heap {
-		heap[i] = int32(i)
+	b, need := radixCut(hist, top, k)
+	size := int(hist[b])
+	clear(hist[:top+1])
+	if cap(s.cand) < n {
+		s.cand = make([]uint64, n)
 	}
-	siftDown := func(lo, hi int) {
-		root := lo
-		for {
-			child := 2*root + 1
-			if child >= hi {
-				break
-			}
-			if child+1 < hi && abs(heap[child+1]) > abs(heap[child]) {
-				child++
-			}
-			if abs(heap[child]) <= abs(heap[root]) {
-				break
-			}
-			heap[root], heap[child] = heap[child], heap[root]
-			root = child
+	cand := s.cand[:n]
+	m := 0
+	for i, x := range v {
+		if key := magKey(x); key>>(31-radixBits) >= b {
+			cand[m] = uint64(key)<<32 | uint64(i)
+			m++
 		}
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
+	cand = cand[:m]
+	// The tie class is every key whose bits from sh up equal tp; size is
+	// its population and need how many of it the selection takes.
+	sh, tp := uint(31-radixBits), b
+	for _, next := range [...]uint{31 - 2*radixBits, 0} {
+		if need == size {
+			break
+		}
+		digit := uint32(1)<<(sh-next) - 1
+		top = 0
+		for _, c := range cand {
+			if key := uint32(c >> 32); key>>sh == tp {
+				d := (key >> next) & digit
+				hist[d]++
+				top = max(top, d)
+			}
+		}
+		var d uint32
+		d, need = radixCut(hist, top, need)
+		size = int(hist[d])
+		for _, c := range cand {
+			if key := uint32(c >> 32); key>>sh == tp {
+				hist[(key>>next)&digit] = 0
+			}
+		}
+		sh, tp = next, tp<<(sh-next)|d
 	}
-	out := s.idx[:0]
-	hi := n
-	for len(out) < k {
-		out = append(out, heap[0])
-		hi--
-		heap[0] = heap[hi]
-		siftDown(0, hi)
+	out := s.idx[:k]
+	m = 0
+	for _, c := range cand {
+		top := uint32(c>>32) >> sh
+		if top > tp || top == tp && need > 0 {
+			if top == tp {
+				need--
+			}
+			out[m] = int32(c)
+			m++
+		}
 	}
 	s.idx = out
 }
@@ -187,36 +249,44 @@ func sparseExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator, sc *
 // un-transmitted part of each gradient is accumulated and re-injected the
 // next step, the standard memory-compensation of Stich et al. (the paper's
 // reference [27]).
+//
+// The bucket-length buffers are allocated by the first Encode, not at
+// construction. Building the per-bucket instances of a gradient then
+// commits no per-element memory, and the caller's own gradient-sized
+// buffers, allocated between construction and the first step, are placed
+// in the heap before them instead of in whatever gaps they leave, which
+// keeps the peak resident set of repeated set-ups steady.
 type errorFeedback struct {
-	residual []float32
+	n        int
+	residual []float32 // nil until first use
 	acc      []float32 // scratch: residual + g
 }
 
-func newErrorFeedback(n int) errorFeedback {
-	return errorFeedback{residual: make([]float32, n), acc: make([]float32, n)}
+func newErrorFeedback(n int) errorFeedback { return errorFeedback{n: n} }
+
+// state returns the residual, allocating it (all zero) on first use.
+func (e *errorFeedback) state() []float32 {
+	if e.residual == nil {
+		e.residual = make([]float32, e.n)
+	}
+	return e.residual
 }
 
-// accumulate forms acc = residual + g and returns it.
-func (e *errorFeedback) accumulate(g []float32) []float32 {
-	if len(g) != len(e.residual) {
-		panic("compress: gradient length changed between steps")
-	}
-	for i, r := range e.residual {
-		e.acc[i] = r + g[i]
-	}
-	return e.acc
-}
-
-// accumulateView is accumulate over a strided view: acc = residual, then
-// acc += v segment-by-segment with the per-lane vector add — element-for-
-// element the same r + g[i] sum, so bitwise identical to accumulate on the
-// flat vector.
+// accumulateView forms acc = residual + g over the view's segments with the
+// per-lane vector add and returns it — element for element the r + g[i] sum
+// of the flat vector, so bitwise identical whatever the segmentation.
 func (e *errorFeedback) accumulateView(v *tensor.VecView) []float32 {
-	if v.Len() != len(e.residual) {
+	if v.Len() != len(e.state()) {
 		panic("compress: gradient length changed between steps")
 	}
-	copy(e.acc, e.residual)
-	v.AddInto(e.acc)
+	if e.acc == nil {
+		e.acc = make([]float32, e.n)
+	}
+	offs := v.Offsets()
+	for si, seg := range v.Segments() {
+		lo, hi := offs[si], offs[si]+len(seg)
+		tensor.AddTo(e.acc[lo:hi], e.residual[lo:hi], seg)
+	}
 	return e.acc
 }
 
@@ -236,8 +306,9 @@ func (e *errorFeedback) reset() {
 // ---- Top-K ----
 
 // TopK transmits the k largest-magnitude entries of the error-compensated
-// gradient. Selection uses a max-heap built in O(n) followed by k pops of
-// O(log n) — the O(n + k log n) computation the paper's Table 2 lists.
+// gradient, in ascending index order. Selection is an O(n) radix select on
+// the magnitude bits (sparseScratch.topK); the O(n + k log n) the paper's
+// Table 2 lists is the cost of the heap selection its measurements used.
 type TopK struct {
 	k  int
 	ef errorFeedback
@@ -247,7 +318,7 @@ type TopK struct {
 // NewTopK builds a Top-K sparsifier from the options (k = Density·N).
 func NewTopK(o Options) *TopK {
 	o.validate()
-	return &TopK{k: o.K(), ef: newErrorFeedback(o.N), sc: newSparseScratch(o.N, o.K())}
+	return &TopK{k: o.K(), ef: newErrorFeedback(o.N), sc: newSparseScratch(o.K())}
 }
 
 // Name implements Algorithm.
@@ -297,17 +368,17 @@ func (t *TopK) Reset() { t.ef.reset() }
 // SaveState implements StateSaver: the error-feedback residual.
 func (t *TopK) SaveState() State {
 	var s State
-	s.setVec("ef", t.ef.residual)
+	s.setVec("ef", t.ef.state())
 	return s
 }
 
 // LoadState implements StateLoader.
-func (t *TopK) LoadState(s State) { s.vec("ef", t.ef.residual) }
+func (t *TopK) LoadState(s State) { s.vec("ef", t.ef.state()) }
 
 // ---- Gaussian-K ----
 
-// GaussianK (Shi et al., the paper's reference [25]) avoids Top-K's heap by
-// assuming gradient values are Gaussian: it fits N(µ, σ²) in one pass and
+// GaussianK (Shi et al., the paper's reference [25]) avoids Top-K's exact
+// selection by assuming gradient values are Gaussian: it fits N(µ, σ²) and
 // derives a magnitude threshold whose expected exceedance count is k, then
 // transmits every entry above the threshold. The selected count varies
 // around k, which is why the exchange is an AllgatherV.
@@ -329,7 +400,7 @@ func NewGaussianK(o Options) *GaussianK {
 	o.validate()
 	return &GaussianK{
 		k: o.K(), n: o.N, ef: newErrorFeedback(o.N),
-		sc:     newSparseScratch(0, o.K()),
+		sc:     newSparseScratch(o.K()),
 		selblk: make([]int32, gaussSelBlock),
 	}
 }
@@ -410,12 +481,12 @@ func (gk *GaussianK) Reset() { gk.ef.reset() }
 // SaveState implements StateSaver: the error-feedback residual.
 func (gk *GaussianK) SaveState() State {
 	var s State
-	s.setVec("ef", gk.ef.residual)
+	s.setVec("ef", gk.ef.state())
 	return s
 }
 
 // LoadState implements StateLoader.
-func (gk *GaussianK) LoadState(s State) { s.vec("ef", gk.ef.residual) }
+func (gk *GaussianK) LoadState(s State) { s.vec("ef", gk.ef.state()) }
 
 // ---- Rand-K ----
 
@@ -436,7 +507,7 @@ func NewRandK(o Options) *RandK {
 	o.validate()
 	return &RandK{
 		k: o.K(), n: o.N, ef: newErrorFeedback(o.N),
-		sc:   newSparseScratch(0, o.K()),
+		sc:   newSparseScratch(o.K()),
 		seen: make(map[int32]struct{}, o.K()),
 		rng:  tensor.NewRNG(o.Seed),
 	}
@@ -494,7 +565,7 @@ func (r *RandK) Reset() { r.ef.reset() }
 // RNG position.
 func (r *RandK) SaveState() State {
 	var s State
-	s.setVec("ef", r.ef.residual)
+	s.setVec("ef", r.ef.state())
 	st := r.rng.State()
 	s.setWords("rng", st[:])
 	return s
@@ -502,7 +573,7 @@ func (r *RandK) SaveState() State {
 
 // LoadState implements StateLoader.
 func (r *RandK) LoadState(s State) {
-	s.vec("ef", r.ef.residual)
+	s.vec("ef", r.ef.state())
 	if w := s.words("rng"); len(w) == 4 {
 		r.rng.SetState([4]uint64{w[0], w[1], w[2], w[3]})
 	}

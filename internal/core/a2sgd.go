@@ -135,10 +135,19 @@ func New(n int, opts ...Option) *A2SGD {
 	for _, o := range opts {
 		o(a)
 	}
-	if a.mode == Faithful {
+	// The error vector is allocated by the first Encode (errorVecOf), like
+	// the sparsifiers' error-feedback buffers, so a new instance commits no
+	// per-element memory.
+	return a
+}
+
+// errorVecOf returns the error vector sized to n elements, allocating it
+// (all zero) on first use or when the gradient length changes.
+func (a *A2SGD) errorVecOf(n int) []float32 {
+	if len(a.errorVec) != n {
 		a.errorVec = make([]float32, n)
 	}
-	return a
+	return a.errorVec
 }
 
 // NewFromOptions adapts the shared compress.Options (used by the registry).
@@ -188,20 +197,12 @@ func (a *A2SGD) EncodeView(v *tensor.VecView) compress.Payload {
 	}
 	a.stats = s
 	if a.mode == Faithful && a.ef {
-		if len(a.errorVec) != v.Len() {
-			a.errorVec = make([]float32, v.Len())
-		}
-		// ε = g − enc(g)
+		// ε = g − enc(g): x − µ+ where x ≥ 0, x + µ− elsewhere (x − µ+ is
+		// exactly x + (−µ+) in IEEE arithmetic).
+		ev := a.errorVecOf(v.Len())
 		offs := v.Offsets()
 		for si, seg := range v.Segments() {
-			ev := a.errorVec[offs[si]:]
-			for i, x := range seg {
-				if x >= 0 {
-					ev[i] = x - s.MuPos
-				} else {
-					ev[i] = x + s.MuNeg
-				}
-			}
+			tensor.SelectAdd(ev[offs[si]:offs[si]+len(seg)], seg, seg, -s.MuPos, s.MuNeg)
 		}
 	}
 	a.payload[0], a.payload[1] = s.MuPos, s.MuNeg
@@ -215,8 +216,9 @@ func (a *A2SGD) Exchange(p compress.Payload, g []float32, c *comm.Communicator) 
 }
 
 // ExchangeView implements compress.Algorithm: the two-scalar collective is
-// unchanged, and the reconstruction loops write directly into the view's
-// segments (per-element arithmetic, bitwise identical to the flat loops).
+// unchanged, and the reconstruction writes directly into the view's segments
+// with the sign-select kernel (per-element arithmetic, bitwise identical to
+// the flat loops).
 func (a *A2SGD) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Communicator) error {
 	a.mu[0], a.mu[1] = p.Data[0], p.Data[1]
 	mu := a.mu[:]
@@ -257,27 +259,15 @@ func (a *A2SGD) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Comm
 		}
 	case a.mode == Faithful:
 		// g' = ε + pos·µ̄+ − neg·µ̄−
+		ev := a.errorVecOf(v.Len())
 		for si, seg := range segs {
-			ev := a.errorVec[offs[si]:]
-			for i, x := range seg {
-				if x >= 0 {
-					seg[i] = ev[i] + gPos
-				} else {
-					seg[i] = ev[i] - gNeg
-				}
-			}
+			tensor.SelectAdd(seg, ev[offs[si]:offs[si]+len(seg)], seg, gPos, -gNeg)
 		}
 	default: // Fused
 		dPos := gPos - a.stats.MuPos
 		dNeg := gNeg - a.stats.MuNeg
 		for _, seg := range segs {
-			for i, x := range seg {
-				if x >= 0 {
-					seg[i] = x + dPos
-				} else {
-					seg[i] = x - dNeg
-				}
-			}
+			tensor.SelectAdd(seg, seg, seg, dPos, -dNeg)
 		}
 	}
 	return nil

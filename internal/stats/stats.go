@@ -10,6 +10,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"a2sgd/internal/tensor"
 )
 
 // Welford accumulates count, mean and variance in a single numerically
@@ -160,11 +162,37 @@ type Gaussian struct {
 	Mu, Sigma float64
 }
 
-// FitGaussian estimates mean and std from xs in one pass.
+// fitBlock is FitGaussian's block length: long enough to amortize the
+// merge, short enough that the block is still in cache for its second pass.
+const fitBlock = 4096
+
+// FitGaussian estimates mean and std from xs. Each fitBlock-element block
+// is fitted with two passes — its mean, then its squared deviations from
+// that mean — and the blocks are folded with Welford.Merge. That matches
+// sequential Welford to ~1e-12 relative error without Welford's divide per
+// element, which made the fit the bulk of Gaussian-K's encode.
 func FitGaussian(xs []float32) Gaussian {
 	var w Welford
-	w.AddSlice(xs)
+	for lo := 0; lo < len(xs); lo += fitBlock {
+		w.Merge(blockMoments(xs[lo:min(lo+fitBlock, len(xs))]))
+	}
 	return Gaussian{Mu: w.Mean(), Sigma: w.Std()}
+}
+
+// blockMoments is the two-pass fit of one non-empty block, each pass an
+// eight-lane sum (tensor.SumLanes, vectorized on amd64) folded in lane
+// order.
+func blockMoments(xs []float32) Welford {
+	mean := foldLanes(tensor.SumLanes(xs)) / float64(len(xs))
+	return Welford{n: int64(len(xs)), mean: mean, m2: foldLanes(tensor.SqDevLanes(xs, mean))}
+}
+
+func foldLanes(s [8]float64) float64 {
+	var t float64
+	for _, x := range s {
+		t += x
+	}
+	return t
 }
 
 // TailThreshold returns the magnitude threshold τ ≥ 0 such that, under the

@@ -167,6 +167,29 @@ func TestGaussianTailThreshold(t *testing.T) {
 	}
 }
 
+// TestFitGaussianMatchesWelford pins the blocked two-pass fit to the
+// sequential Welford recurrence: mean and standard deviation within 1e-12
+// relative error, on lengths inside one block, across block boundaries and
+// with a ragged last block, for centred and offset data.
+func TestFitGaussianMatchesWelford(t *testing.T) {
+	rng := tensor.NewRNG(8)
+	for _, n := range []int{1, 2, 5, 4095, 4096, 4097, 100_003} {
+		for _, mu := range []float64{0, 0.3, -40} {
+			xs := make([]float32, n)
+			rng.NormVec(xs, float32(mu), 0.05)
+			var w Welford
+			w.AddSlice(xs)
+			g := FitGaussian(xs)
+			if d := math.Abs(g.Mu - w.Mean()); d > 1e-12*math.Max(math.Abs(w.Mean()), w.Std()) {
+				t.Errorf("n=%d mu=%v: blocked mean %v, Welford %v", n, mu, g.Mu, w.Mean())
+			}
+			if d := math.Abs(g.Sigma - w.Std()); d > 1e-12*w.Std() {
+				t.Errorf("n=%d mu=%v: blocked std %v, Welford %v", n, mu, g.Sigma, w.Std())
+			}
+		}
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float32{5, 1, 3, 2, 4}
 	if got := Quantile(xs, 0); got != 1 {

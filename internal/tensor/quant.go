@@ -5,11 +5,12 @@ import (
 	"math/bits"
 )
 
-// Stochastic level quantization and bit packing — the shared inner loops of
-// the QSGD and TernGrad encoders. Split out of the compress package so the
-// amd64 build can dispatch the quantization loop to the SSE2 kernel in
-// simd_amd64.s (with the scalar loop below as the portable fallback and
-// odd-tail cleanup). TernGrad is the levels=1 corner of the same family.
+// Stochastic level quantization, bit packing and table-driven unpacking —
+// the shared inner loops of the QSGD and TernGrad encoders and exchanges.
+// Split out of the compress package so the amd64 build can dispatch the
+// quantization loop to the SSE2 kernel in simd_amd64.s (with the scalar loop
+// below as the portable fallback and odd-tail cleanup). TernGrad is the
+// levels=1 corner of the same family.
 
 // QuantizeFields computes, for every element of g, the packed field
 //
@@ -80,6 +81,46 @@ func PackFields(words []uint32, fields []uint32, bitsPer uint, bitPos uint64) ui
 		}
 	}
 	return bitPos + uint64(len(fields))*uint64(bitsPer)
+}
+
+// AccumulateFields is PackFields' inverse fused with the decode-average:
+// it reads len(dst) bitsPer-wide fields LSB-first from words starting at bit
+// offset bitPos and adds the table entry of each to dst, dst[i] += lut[f],
+// returning the advanced offset. lut must hold 1<<bitsPer entries, so every
+// field value — including codes no encoder emits — has one. A field that
+// would straddle past the last word reads zero bits there. Resuming at the
+// returned offset lets a stream be accumulated segment by segment into a
+// multi-segment view. As in PackFields, a bitsPer that divides 32 drops the
+// straddle branch from the inner loop.
+func AccumulateFields(dst []float32, words []uint32, bitsPer uint, bitPos uint64, lut []float32) uint64 {
+	mask := uint32(1)<<bitsPer - 1
+	lut = lut[:mask+1]
+	w := int(bitPos / 32)
+	off := uint(bitPos % 32)
+	if 32%bitsPer == 0 {
+		for i := range dst {
+			dst[i] += lut[(words[w]>>off)&mask]
+			off += bitsPer
+			if off == 32 {
+				off = 0
+				w++
+			}
+		}
+	} else {
+		for i := range dst {
+			f := words[w] >> off
+			if off+bitsPer > 32 && w+1 < len(words) {
+				f |= words[w+1] << (32 - off)
+			}
+			dst[i] += lut[f&mask]
+			off += bitsPer
+			if off >= 32 {
+				off -= 32
+				w++
+			}
+		}
+	}
+	return bitPos + uint64(len(dst))*uint64(bitsPer)
 }
 
 // EliasGammaSignPack is the batched Elias-gamma bit-writer behind the QSGD

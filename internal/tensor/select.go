@@ -2,25 +2,35 @@ package tensor
 
 import "math"
 
-// Selection-support kernels for the sparsifying compressors: a vectorized
-// |v| materialization feeding Top-K's heap comparisons, and the Gaussian
-// tail test that picks GaussianK's candidate indices. Both dispatch to SSE2
-// on amd64 (simd_amd64.s) with the scalar loops below as portable fallbacks
-// and odd-tail cleanup.
+// Selection-support kernels for the Gaussian-K compressor: the lane sums
+// behind its Gaussian fit, and the Gaussian tail test that picks its
+// candidate indices. They dispatch to SSE2 on amd64 (simd_amd64.s) with the
+// scalar loops below as the portable fallbacks and tail cleanup.
 
-// AbsInto computes dst[i] = |src[i]| by clearing the sign bit — the ANDPS
-// semantics of the vector kernel, so -0.0 maps to +0.0 on every build
-// (ordered comparisons cannot tell the two apart, keeping heap selection
-// identical either way). Panics when lengths differ.
-func AbsInto(dst, src []float32) {
-	checkLen(len(dst), len(src))
-	vecAbsInto(dst, src)
+// SumLanes returns, for each lane j < 8, the float64 sum of xs[i] over the
+// indices i ≡ j (mod 8), each lane accumulated in index order: eight
+// independent add chains instead of one, which the vector kernel runs two
+// to a register. The lanes are fully specified, so every build returns the
+// same bits; folding them is the caller's choice.
+func SumLanes(xs []float32) [8]float64 {
+	var s [8]float64
+	done := sumLanesArch(xs, &s)
+	for i := done; i < len(xs); i++ {
+		s[i&7] += float64(xs[i])
+	}
+	return s
 }
 
-func absIntoScalar(dst, src []float32) {
-	for i, x := range src {
-		dst[i] = math.Float32frombits(math.Float32bits(x) &^ (1 << 31))
+// SqDevLanes is SumLanes over the squared deviations (float64(xs[i]) − c)²,
+// each a separately rounded subtract and multiply (no fused multiply-add).
+func SqDevLanes(xs []float32, c float64) [8]float64 {
+	var s [8]float64
+	done := sqDevLanesArch(xs, c, &s)
+	for i := done; i < len(xs); i++ {
+		d := float64(xs[i]) - c
+		s[i&7] += d * d
 	}
+	return s
 }
 
 // GaussTailSelect appends to dst the flattened indices base+i of every

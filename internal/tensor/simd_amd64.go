@@ -2,17 +2,21 @@
 
 package tensor
 
+import "math"
+
 // This file extends the bits.go build-tag pattern from byte views to compute
 // kernels: hand-written SSE2 assembly for the elementwise hot loops (Add,
-// AXPY, Scale, AbsMax) and for the stochastic level-quantization inner loop
-// shared by QSGD and TernGrad. SSE2 is part of the amd64 baseline (GOAMD64=v1)
-// so no runtime feature detection is needed; the purego tag or any other
-// GOARCH selects the portable fallbacks in simd_generic.go.
+// AXPY, Scale, AbsMax, SelectAdd) and for the stochastic level-quantization
+// inner loop shared by QSGD and TernGrad. SSE2 is part of the amd64
+// baseline (GOAMD64=v1) so no runtime feature detection is needed; the
+// purego tag or any other GOARCH selects the portable fallbacks in
+// simd_generic.go.
 //
 // Every kernel is bitwise-identical to its scalar counterpart: only
 // elementwise and order-independent operations are vectorized (per-lane
 // add/mul, max, truncation), never float reductions whose association order
-// would change the rounded result. The quantization kernel reproduces the
+// would change the rounded result (SumLanes' eight lanes are the scalar
+// loop's eight accumulators, one per lane). The quantization kernel reproduces the
 // scalar float64 arithmetic operation-for-operation (convert, abs, divide by
 // norm, multiply by s, truncate, stochastic promote, clamp). Kernels assume
 // finite inputs; gradient health checks (HasNaNOrInf) run upstream.
@@ -25,7 +29,7 @@ func SIMDEnabled() bool { return true }
 const simdMinLen = 16
 
 //go:noescape
-func addKernel(dst, src *float32, n int)
+func addKernel(dst, a, b *float32, n int)
 
 //go:noescape
 func axpyKernel(dst *float32, a float32, src *float32, n int)
@@ -54,15 +58,29 @@ func qsgdFieldsKernel(fields *uint32, src *float32, rnd *float64, n int, norm fl
 //go:noescape
 func signedMeansKernel(v *float32, n int) (sp, sn float64, nNeg int64)
 
-//go:noescape
-func absKernel(dst, src *float32, n int)
-
-// gaussTailKernel scans an even number of elements and stores base+i for
-// every i whose float64 distance from mu exceeds tau; returns the selected
-// count. The Go wrapper peels the odd tail.
+// selectAddKernel is SelectAdd over n elements (any n; the kernel runs its
+// own scalar tail).
 //
 //go:noescape
-func gaussTailKernel(dst *int32, src *float32, n int, base int32, mu, tau float64) int64
+func selectAddKernel(dst, base, sgn *float32, n int, p, q float32)
+
+// sumLanesKernel and sqDevLanesKernel accumulate n elements (a multiple of
+// 8) into the eight lanes of SumLanes / SqDevLanes, starting from zero.
+//
+//go:noescape
+func sumLanesKernel(v *float32, n int, s *[8]float64)
+
+//go:noescape
+func sqDevLanesKernel(v *float32, n int, c float64, s *[8]float64)
+
+// gaussTailKernel scans a multiple of 4 elements and stores base+i for
+// every i whose float64 distance from mu exceeds tau; returns the selected
+// count. Groups of four inside the float32 bounds [lo, hi] — proven
+// unselected by gaussTailBounds — are rejected with one packed compare; the
+// rest take the exact float64 test. The Go wrapper peels the tail.
+//
+//go:noescape
+func gaussTailKernel(dst *int32, src *float32, n int, base int32, mu, tau float64, lo, hi float32) int64
 
 // eliasPackKernel is the batched Elias-gamma+sign writer
 // (EliasGammaSignPack); scalar amd64 code — the win over the portable loop
@@ -71,12 +89,12 @@ func gaussTailKernel(dst *int32, src *float32, n int, base int32, mu, tau float6
 //go:noescape
 func eliasPackKernel(words *uint32, fields *uint32, n int, bitPos uint64) uint64
 
-func vecAdd(dst, src Vec) {
+func vecAddTo(dst, a, b Vec) {
 	if len(dst) >= simdMinLen {
-		addKernel(&dst[0], &src[0], len(dst))
+		addKernel(&dst[0], &a[0], &b[0], len(dst))
 		return
 	}
-	addScalar(dst, src)
+	addToScalar(dst, a, b)
 }
 
 func vecAXPY(dst Vec, a float32, src Vec) {
@@ -129,24 +147,74 @@ func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, 
 	return n
 }
 
-func vecAbsInto(dst, src Vec) {
-	if len(src) >= simdMinLen {
-		absKernel(&dst[0], &src[0], len(src))
+func vecSelectAdd(dst, base, sgn Vec, p, n float32) {
+	if len(dst) >= simdMinLen {
+		selectAddKernel(&dst[0], &base[0], &sgn[0], len(dst), p, n)
 		return
 	}
-	absIntoScalar(dst, src)
+	selectAddScalar(dst, base, sgn, p, n)
 }
 
-// gaussTailArch runs the selection kernel over the longest even prefix of
-// src, returning the selected count and the prefix length consumed; the
-// caller finishes the tail with the scalar predicate.
+// sumLanesArch runs the lane-sum kernel over the longest multiple-of-8
+// prefix of xs and returns its length; the caller folds in the tail.
+func sumLanesArch(xs []float32, s *[8]float64) int {
+	done := len(xs) &^ 7
+	if done < simdMinLen {
+		return 0
+	}
+	sumLanesKernel(&xs[0], done, s)
+	return done
+}
+
+// sqDevLanesArch is sumLanesArch for the squared-deviation lanes.
+func sqDevLanesArch(xs []float32, c float64, s *[8]float64) int {
+	done := len(xs) &^ 7
+	if done < simdMinLen {
+		return 0
+	}
+	sqDevLanesKernel(&xs[0], done, c, s)
+	return done
+}
+
+// gaussTailArch runs the selection kernel over the longest multiple-of-4
+// prefix of src, returning the selected count and the prefix length
+// consumed; the caller finishes the tail with the scalar predicate.
 func gaussTailArch(dst []int32, src []float32, base int32, mu, tau float64) (nsel, done int) {
-	done = len(src) &^ 1
+	done = len(src) &^ 3
 	if done < simdMinLen {
 		return 0, 0
 	}
-	nsel = int(gaussTailKernel(&dst[0], &src[0], done, base, mu, tau))
+	lo, hi := gaussTailBounds(mu, tau)
+	nsel = int(gaussTailKernel(&dst[0], &src[0], done, base, mu, tau, lo, hi))
 	return nsel, done
+}
+
+// gaussTailBounds returns float32 bounds such that no x in [lo, hi] has
+// |float64(x) − mu| > tau. The float64 distance is monotone in x on either
+// side of mu (rounding is monotone), so it is enough that lo and hi
+// themselves are unselected: both start at the float32 rounding of mu ∓ tau
+// and step inward an ulp at a time. When that does not settle within a few
+// steps (tau below the float32 spacing at mu, or NaN) the bounds are NaN,
+// which no compare accepts, and every element takes the exact test.
+func gaussTailBounds(mu, tau float64) (lo, hi float32) {
+	nan := float32(math.NaN())
+	if !(tau >= 0) {
+		return nan, nan
+	}
+	sel := func(x float32) bool { return math.Abs(float64(x)-mu) > tau }
+	lo, hi = float32(mu-tau), float32(mu+tau)
+	for i := 0; sel(lo) || sel(hi); i++ {
+		if i == 4 {
+			return nan, nan
+		}
+		if sel(lo) {
+			lo = math.Nextafter32(lo, hi)
+		}
+		if sel(hi) {
+			hi = math.Nextafter32(hi, lo)
+		}
+	}
+	return lo, hi
 }
 
 func eliasPackArch(words []uint32, fields []uint32, bitPos uint64) uint64 {

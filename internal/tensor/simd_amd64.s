@@ -5,24 +5,26 @@
 // SSE2 kernels for the float32 hot loops. See simd_amd64.go for the
 // bitwise-identity contract with the scalar fallbacks.
 
-// func addKernel(dst, src *float32, n int)
-// dst[i] += src[i]
-TEXT ·addKernel(SB), NOSPLIT, $0-24
+// func addKernel(dst, a, b *float32, n int)
+// dst[i] = a[i] + b[i]; Add passes dst as a. Each lane group is loaded
+// before it is stored, so dst may alias either input.
+TEXT ·addKernel(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
 
 add16:
 	CMPQ CX, $16
 	JLT  add4
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X1
-	MOVUPS 32(DI), X2
-	MOVUPS 48(DI), X3
-	MOVUPS (SI), X4
-	MOVUPS 16(SI), X5
-	MOVUPS 32(SI), X6
-	MOVUPS 48(SI), X7
+	MOVUPS (SI), X0
+	MOVUPS 16(SI), X1
+	MOVUPS 32(SI), X2
+	MOVUPS 48(SI), X3
+	MOVUPS (DX), X4
+	MOVUPS 16(DX), X5
+	MOVUPS 32(DX), X6
+	MOVUPS 48(DX), X7
 	ADDPS  X4, X0
 	ADDPS  X5, X1
 	ADDPS  X6, X2
@@ -33,30 +35,33 @@ add16:
 	MOVUPS X3, 48(DI)
 	ADDQ   $64, DI
 	ADDQ   $64, SI
+	ADDQ   $64, DX
 	SUBQ   $16, CX
 	JMP    add16
 
 add4:
 	CMPQ CX, $4
 	JLT  add1
-	MOVUPS (DI), X0
-	MOVUPS (SI), X4
+	MOVUPS (SI), X0
+	MOVUPS (DX), X4
 	ADDPS  X4, X0
 	MOVUPS X0, (DI)
 	ADDQ   $16, DI
 	ADDQ   $16, SI
+	ADDQ   $16, DX
 	SUBQ   $4, CX
 	JMP    add4
 
 add1:
 	CMPQ CX, $0
 	JLE  addDone
-	MOVSS (DI), X0
-	MOVSS (SI), X4
+	MOVSS (SI), X0
+	MOVSS (DX), X4
 	ADDSS X4, X0
 	MOVSS X0, (DI)
 	ADDQ  $4, DI
 	ADDQ  $4, SI
+	ADDQ  $4, DX
 	DECQ  CX
 	JMP   add1
 
@@ -278,110 +283,262 @@ qf2:
 qfDone:
 	RET
 
-// func absKernel(dst, src *float32, n int)
-// dst[i] = |src[i]| by clearing the sign bit (ANDPS) — feeds Top-K's heap
-// comparisons; -0.0 maps to +0.0, indistinguishable under ordered compares.
-TEXT ·absKernel(SB), NOSPLIT, $0-24
+// func selectAddKernel(dst, base, sgn *float32, n int, p, q float32)
+// dst[i] = base[i] + (sgn[i] >= 0 ? p : q). The sign test is CMPLEPS
+// 0 <= sgn (false for NaN, true for -0.0, exactly the scalar x >= 0), the
+// select an AND/ANDN/OR blend of the broadcast constants, then one ADDPS:
+// the same single rounding as the scalar add. Loads precede the store of
+// each lane group, so dst may alias base and sgn.
+TEXT ·selectAddKernel(SB), NOSPLIT, $0-40
 	MOVQ   dst+0(FP), DI
-	MOVQ   src+8(FP), SI
-	MOVQ   n+16(FP), CX
-	MOVUPS absMask32<>(SB), X7
+	MOVQ   base+8(FP), SI
+	MOVQ   sgn+16(FP), DX
+	MOVQ   n+24(FP), CX
+	MOVSS  p+32(FP), X8
+	SHUFPS $0x00, X8, X8
+	MOVSS  q+36(FP), X9
+	SHUFPS $0x00, X9, X9
+	XORPS  X10, X10
 
-abs16:
-	CMPQ CX, $16
-	JLT  abs4
+sa8:
+	CMPQ   CX, $8
+	JLT    sa4
+	MOVUPS (DX), X0
+	MOVUPS 16(DX), X1
+	MOVAPS X10, X2
+	MOVAPS X10, X3
+	CMPPS  X0, X2, $2     // X2 = (0 <= sgn) ? ~0 : 0
+	CMPPS  X1, X3, $2
+	MOVAPS X2, X4
+	MOVAPS X3, X5
+	ANDPS  X8, X4         // p where sgn >= 0
+	ANDPS  X8, X5
+	ANDNPS X9, X2         // q elsewhere
+	ANDNPS X9, X3
+	ORPS   X4, X2
+	ORPS   X5, X3
 	MOVUPS (SI), X0
 	MOVUPS 16(SI), X1
-	MOVUPS 32(SI), X2
-	MOVUPS 48(SI), X3
-	ANDPS  X7, X0
-	ANDPS  X7, X1
-	ANDPS  X7, X2
-	ANDPS  X7, X3
+	ADDPS  X2, X0
+	ADDPS  X3, X1
 	MOVUPS X0, (DI)
 	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	ADDQ   $64, DI
-	ADDQ   $64, SI
-	SUBQ   $16, CX
-	JMP    abs16
+	ADDQ   $32, DI
+	ADDQ   $32, SI
+	ADDQ   $32, DX
+	SUBQ   $8, CX
+	JMP    sa8
 
-abs4:
-	CMPQ CX, $4
-	JLT  abs1
+sa4:
+	CMPQ   CX, $4
+	JLT    sa1
+	MOVUPS (DX), X0
+	MOVAPS X10, X2
+	CMPPS  X0, X2, $2
+	MOVAPS X2, X4
+	ANDPS  X8, X4
+	ANDNPS X9, X2
+	ORPS   X4, X2
 	MOVUPS (SI), X0
-	ANDPS  X7, X0
+	ADDPS  X2, X0
 	MOVUPS X0, (DI)
 	ADDQ   $16, DI
 	ADDQ   $16, SI
+	ADDQ   $16, DX
 	SUBQ   $4, CX
-	JMP    abs4
+	JMP    sa4
 
-abs1:
-	CMPQ CX, $0
-	JLE  absDone
-	MOVSS (SI), X0
-	ANDPS X7, X0
-	MOVSS X0, (DI)
-	ADDQ  $4, DI
-	ADDQ  $4, SI
-	DECQ  CX
-	JMP   abs1
+sa1:
+	CMPQ   CX, $0
+	JLE    saDone
+	MOVSS  (DX), X0
+	MOVAPS X10, X2
+	CMPSS  X0, X2, $2
+	MOVAPS X2, X4
+	ANDPS  X8, X4
+	ANDNPS X9, X2
+	ORPS   X4, X2
+	MOVSS  (SI), X0
+	ADDSS  X2, X0
+	MOVSS  X0, (DI)
+	ADDQ   $4, DI
+	ADDQ   $4, SI
+	ADDQ   $4, DX
+	DECQ   CX
+	JMP    sa1
 
-absDone:
+saDone:
 	RET
 
-// func gaussTailKernel(dst *int32, src *float32, n int, base int32, mu, tau float64) int64
+// func sumLanesKernel(v *float32, n int, s *[8]float64)
 //
-// Two elements per iteration: d = |float64(x) - mu| (CVTPS2PD, SUBPD,
-// ANDPD), select when tau < d (CMPPD lt with tau as destination, so a NaN
-// distance never selects — the scalar predicate d > tau exactly). Selection
-// is expected sparse (~0.1%), so a MOVMSKPD fast-skip covers the common
-// all-reject pair and the stores stay scalar. n must be even.
-TEXT ·gaussTailKernel(SB), NOSPLIT, $0-56
+// Eight float64 lanes, two per register: X2 = lanes 0,1 ... X5 = lanes 6,7,
+// each fed by CVTPS2PD of its float pair straight from memory and
+// accumulated with ADDPD — per lane exactly the scalar s[i&7] += float64(x)
+// sequence. n must be a multiple of 8.
+TEXT ·sumLanesKernel(SB), NOSPLIT, $0-24
+	MOVQ  v+0(FP), SI
+	MOVQ  n+8(FP), CX
+	MOVQ  s+16(FP), DI
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+
+sl8:
+	CMPQ     CX, $8
+	JLT      slDone
+	CVTPS2PD (SI), X0
+	CVTPS2PD 8(SI), X1
+	CVTPS2PD 16(SI), X6
+	CVTPS2PD 24(SI), X7
+	ADDPD    X0, X2
+	ADDPD    X1, X3
+	ADDPD    X6, X4
+	ADDPD    X7, X5
+	ADDQ     $32, SI
+	SUBQ     $8, CX
+	JMP      sl8
+
+slDone:
+	MOVUPD X2, (DI)
+	MOVUPD X3, 16(DI)
+	MOVUPD X4, 32(DI)
+	MOVUPD X5, 48(DI)
+	RET
+
+// func sqDevLanesKernel(v *float32, n int, c float64, s *[8]float64)
+//
+// sumLanesKernel over d*d with d = float64(x) - c: SUBPD then MULPD then
+// ADDPD, three roundings exactly as the scalar loop. n must be a multiple
+// of 8.
+TEXT ·sqDevLanesKernel(SB), NOSPLIT, $0-32
+	MOVQ     v+0(FP), SI
+	MOVQ     n+8(FP), CX
+	MOVSD    c+16(FP), X8
+	UNPCKLPD X8, X8
+	MOVQ     s+24(FP), DI
+	XORPS    X2, X2
+	XORPS    X3, X3
+	XORPS    X4, X4
+	XORPS    X5, X5
+
+sq8:
+	CMPQ     CX, $8
+	JLT      sqDone
+	CVTPS2PD (SI), X0
+	CVTPS2PD 8(SI), X1
+	CVTPS2PD 16(SI), X6
+	CVTPS2PD 24(SI), X7
+	SUBPD    X8, X0
+	SUBPD    X8, X1
+	SUBPD    X8, X6
+	SUBPD    X8, X7
+	MULPD    X0, X0
+	MULPD    X1, X1
+	MULPD    X6, X6
+	MULPD    X7, X7
+	ADDPD    X0, X2
+	ADDPD    X1, X3
+	ADDPD    X6, X4
+	ADDPD    X7, X5
+	ADDQ     $32, SI
+	SUBQ     $8, CX
+	JMP      sq8
+
+sqDone:
+	MOVUPD X2, (DI)
+	MOVUPD X3, 16(DI)
+	MOVUPD X4, 32(DI)
+	MOVUPD X5, 48(DI)
+	RET
+
+// func gaussTailKernel(dst *int32, src *float32, n int, base int32, mu, tau float64, lo, hi float32) int64
+//
+// Four elements per iteration. Selection is expected sparse (~0.1%), so
+// the group is first tested against the float32 bounds: lo <= x && x <= hi
+// in every lane (CMPPS le, false for NaN) rejects all four at once. Other
+// groups take the exact test per float pair: d = |float64(x) - mu|
+// (CVTPS2PD, SUBPD, ANDPD), select when tau < d (CMPPD lt with tau as
+// destination, so a NaN distance never selects — the scalar predicate
+// d > tau exactly), with scalar stores. n must be a multiple of 4.
+TEXT ·gaussTailKernel(SB), NOSPLIT, $0-64
 	MOVQ     dst+0(FP), DI
 	MOVQ     src+8(FP), SI
 	MOVQ     n+16(FP), CX
-	MOVL     base+24(FP), R8      // next flattened index
+	MOVL     base+24(FP), R8      // flattened index of the group
 	MOVSD    mu+32(FP), X8
 	UNPCKLPD X8, X8
 	MOVSD    tau+40(FP), X9
 	UNPCKLPD X9, X9
+	MOVSS    lo+48(FP), X10
+	SHUFPS   $0x00, X10, X10
+	MOVSS    hi+52(FP), X11
+	SHUFPS   $0x00, X11, X11
 	XORQ     R9, R9               // selected count
 
-gt2:
-	CMPQ CX, $2
-	JLT  gtDone
-	MOVSD    (SI), X0             // two float32 values in lanes 0,1
+gt4:
+	CMPQ     CX, $4
+	JLT      gtDone
+	MOVUPS   (SI), X0
+	MOVAPS   X10, X1
+	CMPPS    X0, X1, $2           // X1 = (lo <= x) ? ~0 : 0
+	MOVAPS   X0, X2
+	CMPPS    X11, X2, $2          // X2 = (x <= hi) ? ~0 : 0
+	ANDPS    X2, X1
+	MOVMSKPS X1, AX
+	CMPQ     AX, $15
+	JEQ      gtSkip
+
+	// exact test, low pair (elements 0, 1)
 	CVTPS2PD X0, X1               // [f64(x0), f64(x1)]
 	SUBPD    X8, X1               // x - mu
 	ANDPD    absMask64<>(SB), X1  // d = |x - mu|
 	MOVAPS   X9, X2
 	CMPPD    X1, X2, $1           // X2 = (tau < d) ? ~0 : 0, per qword lane
 	MOVMSKPD X2, AX
-	TESTQ    AX, AX
-	JZ       gtSkip
 	TESTQ    $1, AX
-	JZ       gtHigh
+	JZ       gt1
 	MOVL     R8, (DI)(R9*4)
 	INCQ     R9
 
-gtHigh:
+gt1:
 	TESTQ $2, AX
-	JZ    gtSkip
+	JZ    gt2
 	LEAL  1(R8), R10
 	MOVL  R10, (DI)(R9*4)
 	INCQ  R9
 
+gt2:
+	// exact test, high pair (elements 2, 3)
+	SHUFPS   $0xEE, X0, X0
+	CVTPS2PD X0, X1
+	SUBPD    X8, X1
+	ANDPD    absMask64<>(SB), X1
+	MOVAPS   X9, X2
+	CMPPD    X1, X2, $1
+	MOVMSKPD X2, AX
+	TESTQ    $1, AX
+	JZ       gt3
+	LEAL     2(R8), R10
+	MOVL     R10, (DI)(R9*4)
+	INCQ     R9
+
+gt3:
+	TESTQ $2, AX
+	JZ    gtSkip
+	LEAL  3(R8), R10
+	MOVL  R10, (DI)(R9*4)
+	INCQ  R9
+
 gtSkip:
-	ADDL $2, R8
-	ADDQ $8, SI
-	SUBQ $2, CX
-	JMP  gt2
+	ADDL $4, R8
+	ADDQ $16, SI
+	SUBQ $4, CX
+	JMP  gt4
 
 gtDone:
-	MOVQ R9, ret+48(FP)
+	MOVQ R9, ret+56(FP)
 	RET
 
 // func eliasPackKernel(words *uint32, fields *uint32, n int, bitPos uint64) uint64

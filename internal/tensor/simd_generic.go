@@ -9,10 +9,12 @@ package tensor
 // SIMDEnabled reports whether the assembly vector kernels are compiled in.
 func SIMDEnabled() bool { return false }
 
-func vecAdd(dst, src Vec)                 { addScalar(dst, src) }
+func vecAddTo(dst, a, b Vec)              { addToScalar(dst, a, b) }
 func vecAXPY(dst Vec, a float32, src Vec) { axpyScalar(dst, a, src) }
 func vecScale(v Vec, c float32)           { scaleScalar(v, c) }
 func vecAbsMax(v Vec) float32             { return absMaxScalar(v) }
+
+func vecSelectAdd(dst, base, sgn Vec, p, n float32) { selectAddScalar(dst, base, sgn, p, n) }
 
 // quantFieldsArch handles no elements on portable builds; the caller's scalar
 // loop does all the work.
@@ -26,7 +28,10 @@ func signedMeansArch(v []float32) (sp, sn float64, np, done int) {
 	return 0, 0, 0, 0
 }
 
-func vecAbsInto(dst, src Vec) { absIntoScalar(dst, src) }
+// sumLanesArch and sqDevLanesArch handle no elements on portable builds;
+// the callers' lane loops do all the work.
+func sumLanesArch(xs []float32, s *[8]float64) int              { return 0 }
+func sqDevLanesArch(xs []float32, c float64, s *[8]float64) int { return 0 }
 
 // gaussTailArch handles no elements on portable builds; the caller's scalar
 // predicate does all the work.

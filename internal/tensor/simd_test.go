@@ -32,11 +32,16 @@ func TestAddMatchesScalar(t *testing.T) {
 		dst := randVec(rng, n)
 		src := randVec(rng, n)
 		want := Clone(dst)
-		addScalar(want, src)
+		addToScalar(want, want, src)
+		sum := NewVec(n)
+		AddTo(sum, dst, src)
 		Add(dst, src)
 		for i := range dst {
 			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("n=%d: Add[%d] = %x, scalar %x", n, i, math.Float32bits(dst[i]), math.Float32bits(want[i]))
+			}
+			if math.Float32bits(sum[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: AddTo[%d] = %x, scalar %x", n, i, math.Float32bits(sum[i]), math.Float32bits(want[i]))
 			}
 		}
 	}
@@ -243,4 +248,150 @@ func relErr(a, b float64) float64 {
 		return d / m
 	}
 	return d
+}
+
+// TestSelectAddMatchesScalar checks the sign-select kernel against the
+// scalar loop and against the branchy subtract forms A2SGD used before it
+// (x − µ+ / x + µ−, ε + µ̄+ / ε − µ̄−): signed zeros in the sign and base
+// inputs, ±0 constants, lengths below simdMinLen and every unroll tail, and
+// dst aliasing base and sgn.
+func TestSelectAddMatchesScalar(t *testing.T) {
+	rng := NewRNG(25)
+	negZero := float32(math.Copysign(0, -1))
+	bits := math.Float32bits
+	for _, n := range simdLens {
+		for _, pq := range [][2]float32{
+			{rng.Float32(), rng.Float32()},
+			{0, negZero},
+			{negZero, 0},
+		} {
+			sgn := randVec(rng, n)
+			base := randVec(rng, n)
+			for i := 0; i < n; i += 5 {
+				sgn[i] = negZero
+				base[n-1-i] = negZero
+			}
+			p, q := pq[0], pq[1]
+			want := NewVec(n)
+			selectAddScalar(want, base, sgn, p, q)
+			got := NewVec(n)
+			SelectAdd(got, base, sgn, p, q)
+			// Old branchy forms: ε loop (dst = x − µ+ / x + µ−) with
+			// µ+ = −p, and the reconstruction (dst = ε + µ̄+ / ε − µ̄−) with
+			// µ̄− = −q; both in place over aliased inputs.
+			eps := Clone(sgn)
+			SelectAdd(eps, eps, eps, p, q)
+			rec := Clone(sgn)
+			SelectAdd(rec, base, rec, p, q)
+			for i, x := range sgn {
+				oldEps, oldRec := x+q, base[i]-(-q)
+				if x >= 0 {
+					oldEps, oldRec = x-(-p), base[i]+p
+				}
+				if bits(got[i]) != bits(want[i]) {
+					t.Fatalf("n=%d p=%v q=%v: SelectAdd[%d] = %x, scalar %x", n, p, q, i, bits(got[i]), bits(want[i]))
+				}
+				if bits(eps[i]) != bits(oldEps) || bits(rec[i]) != bits(oldRec) {
+					t.Fatalf("n=%d p=%v q=%v [%d]: in-place %x/%x, subtract form %x/%x",
+						n, p, q, i, bits(eps[i]), bits(rec[i]), bits(oldEps), bits(oldRec))
+				}
+			}
+		}
+	}
+}
+
+// TestAccumulateFieldsMatchesUnpack accumulates packed streams of every
+// field width from 1 to 9 bits — dividing 32 or straddling words — in
+// irregular chunks (resumed offsets that fall mid-word) and compares with
+// the bit-at-a-time unpack followed by a plain add.
+func TestAccumulateFieldsMatchesUnpack(t *testing.T) {
+	rng := NewRNG(26)
+	for bitsPer := uint(1); bitsPer <= 9; bitsPer++ {
+		for _, n := range simdLens {
+			mask := uint32(1)<<bitsPer - 1
+			fields := make([]uint32, n)
+			for i := range fields {
+				fields[i] = uint32(rng.Intn(int(mask) + 1))
+			}
+			words := make([]uint32, (n*int(bitsPer)+31)/32)
+			PackFields(words, fields, bitsPer, 0)
+			lut := randVec(rng, int(mask)+1)
+			dst := randVec(rng, n)
+			want := Clone(dst)
+			for i, f := range fields {
+				want[i] += lut[f]
+			}
+			pos := uint64(0)
+			for lo := 0; lo < n; {
+				hi := min(n, lo+1+rng.Intn(13))
+				pos = AccumulateFields(dst[lo:hi], words, bitsPer, pos, lut)
+				lo = hi
+			}
+			if pos != uint64(n)*uint64(bitsPer) {
+				t.Fatalf("bitsPer=%d n=%d: end offset %d", bitsPer, n, pos)
+			}
+			for i := range dst {
+				if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("bitsPer=%d n=%d: dst[%d] = %v, want %v", bitsPer, n, i, dst[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLaneSumsMatchScalar: the lane-sum kernels return the bits of the
+// scalar lane loops (s[i&7] += ...) for every length class.
+func TestLaneSumsMatchScalar(t *testing.T) {
+	rng := NewRNG(27)
+	for _, n := range simdLens {
+		xs := randVec(rng, n)
+		c := float64(rng.Float32() - 0.5)
+		var sum, sq [8]float64
+		for i, x := range xs {
+			d := float64(x) - c
+			sum[i&7] += float64(x)
+			sq[i&7] += d * d
+		}
+		if got := SumLanes(xs); got != sum {
+			t.Fatalf("n=%d: SumLanes = %v, scalar %v", n, got, sum)
+		}
+		if got := SqDevLanes(xs, c); got != sq {
+			t.Fatalf("n=%d: SqDevLanes = %v, scalar %v", n, got, sq)
+		}
+	}
+}
+
+// TestGaussTailSelectAtBounds puts elements on and a few ulps around
+// mu ± tau — where the kernel's float32 pre-reject bounds sit — plus ±Inf
+// and NaN, for thresholds down to zero and below the float32 spacing at
+// mu, and requires the scalar selection exactly.
+func TestGaussTailSelectAtBounds(t *testing.T) {
+	for _, c := range []struct{ mu, tau float64 }{
+		{0, 0.3}, {0.01, 1e-3}, {-2.5e-3, 0}, {1e30, 1}, {-3, 1e-9}, {0.1, math.Inf(1)},
+	} {
+		var src []float32
+		for _, edge := range []float64{c.mu - c.tau, c.mu + c.tau, c.mu} {
+			x := float32(edge)
+			for k := 0; k < 4; k++ {
+				x = math.Nextafter32(x, float32(math.Inf(-1)))
+			}
+			for k := 0; k < 9; k++ {
+				src = append(src, x)
+				x = math.Nextafter32(x, float32(math.Inf(1)))
+			}
+		}
+		src = append(src, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 0)
+		want := make([]int32, len(src))
+		got := make([]int32, len(src))
+		nw := gaussTailScalar(want, src, 3, c.mu, c.tau)
+		ng := GaussTailSelect(got, src, 3, c.mu, c.tau)
+		if ng != nw {
+			t.Fatalf("mu=%v tau=%v: count %d, scalar %d", c.mu, c.tau, ng, nw)
+		}
+		for i := 0; i < nw; i++ {
+			if got[i] != want[i] {
+				t.Fatalf("mu=%v tau=%v: idx[%d] = %d, scalar %d", c.mu, c.tau, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -40,12 +40,20 @@ func Clone(v Vec) Vec {
 // keep the result bitwise identical to the scalar loop.
 func Add(dst, src Vec) {
 	checkLen(len(dst), len(src))
-	vecAdd(dst, src)
+	vecAddTo(dst, dst, src)
 }
 
-func addScalar(dst, src Vec) {
-	for i, s := range src {
-		dst[i] += s
+// AddTo computes dst[i] = a[i] + b[i] — Add without first copying a into
+// dst. dst may alias a or b. Panics when lengths differ.
+func AddTo(dst, a, b Vec) {
+	checkLen(len(dst), len(a))
+	checkLen(len(dst), len(b))
+	vecAddTo(dst, a, b)
+}
+
+func addToScalar(dst, a, b Vec) {
+	for i, x := range b {
+		dst[i] = a[i] + x
 	}
 }
 
@@ -87,6 +95,29 @@ func AXPY(dst Vec, a float32, src Vec) {
 func axpyScalar(dst Vec, a float32, src Vec) {
 	for i, s := range src {
 		dst[i] += a * s
+	}
+}
+
+// SelectAdd computes dst[i] = base[i] + p where sgn[i] >= 0 and
+// base[i] + n elsewhere (NaN signs take n) — the sign-selected update of
+// A2SGD's error vector and reconstruction. The select is a compare-and-blend
+// on amd64, so the half-and-half sign pattern of gradient data costs no
+// branch mispredictions; the one add per element keeps the result bitwise
+// identical to the branchy scalar loop. dst may alias base and sgn. Panics
+// when lengths differ.
+func SelectAdd(dst, base, sgn Vec, p, n float32) {
+	checkLen(len(dst), len(base))
+	checkLen(len(dst), len(sgn))
+	vecSelectAdd(dst, base, sgn, p, n)
+}
+
+func selectAddScalar(dst, base, sgn Vec, p, n float32) {
+	for i, x := range sgn {
+		d := n
+		if x >= 0 {
+			d = p
+		}
+		dst[i] = base[i] + d
 	}
 }
 

@@ -166,15 +166,6 @@ func (v *VecView) CopyFrom(src []float32) {
 	}
 }
 
-// AddInto computes dst[i] += v[i] over the flattened index space — per-lane,
-// bitwise identical to adding the flat vector.
-func (v *VecView) AddInto(dst []float32) {
-	checkLen(len(dst), v.n)
-	for i, s := range v.segs {
-		Add(dst[v.off[i]:v.off[i]+len(s)], s)
-	}
-}
-
 // AXPY computes v[i] += a*src[i] over the flattened index space (the error
 // feedback / decode-average kernel, per-lane and bitwise-flat).
 func (v *VecView) AXPY(a float32, src []float32) {
