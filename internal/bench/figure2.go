@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"a2sgd/internal/tensor"
@@ -21,7 +22,9 @@ var Figure2Algos = []string{"topk", "qsgd", "gaussiank", "a2sgd"}
 
 // Figure2 measures the local compression time (the Encode phase only — no
 // communication) on random Gaussian gradients of increasing size,
-// reproducing the paper's Figure 2 sweep up to 100 M parameters.
+// reproducing the paper's Figure 2 sweep up to 100 M parameters. Each
+// point is the median of reps timed Encodes, so one descheduled
+// repetition does not move it.
 func Figure2(w io.Writer, sizes []int, reps int) ([]Figure2Point, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1_000_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000, 100_000_000}
@@ -30,6 +33,7 @@ func Figure2(w io.Writer, sizes []int, reps int) ([]Figure2Point, error) {
 		reps = 2
 	}
 	var points []Figure2Point
+	times := make([]float64, reps)
 	rows := make([][]string, 0, len(sizes))
 	for _, n := range sizes {
 		g := make([]float32, n)
@@ -40,11 +44,16 @@ func Figure2(w io.Writer, sizes []int, reps int) ([]Figure2Point, error) {
 			// Warm-up run excluded from timing (first TopK call allocates
 			// the residual buffers, etc.).
 			alg.Encode(g)
-			t0 := time.Now()
-			for r := 0; r < reps; r++ {
+			for r := range times {
+				t0 := time.Now()
 				alg.Encode(g)
+				times[r] = time.Since(t0).Seconds()
 			}
-			sec := time.Since(t0).Seconds() / float64(reps)
+			slices.Sort(times)
+			sec := times[reps/2]
+			if reps%2 == 0 {
+				sec = (times[reps/2-1] + sec) / 2
+			}
 			points = append(points, Figure2Point{Algo: name, N: n, Seconds: sec})
 			row = append(row, fmt.Sprintf("%.4f", sec))
 		}

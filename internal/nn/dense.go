@@ -53,7 +53,7 @@ func (l *Linear) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // Backward implements Layer: dW += doutᵀ·x, db += Σ dout, dx = dout·W.
 func (l *Linear) Backward(dout *tensor.Mat) *tensor.Mat {
 	gw := tensor.MatFrom(l.OutF, l.InF, l.GW)
-	tensor.MatMulATB(gw, dout, l.x)
+	tensor.MatMulATBAdd(gw, dout, l.x)
 	tensor.ColSums(l.GB, dout)
 	dx := tensor.NewMat(dout.Rows, l.InF)
 	wm := tensor.MatFrom(l.OutF, l.InF, l.W)

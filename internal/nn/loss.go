@@ -11,10 +11,19 @@ import (
 // gradient dL/dlogits in the same shape. Numerically stabilized by the
 // per-row max shift.
 func SoftmaxCE(logits *tensor.Mat, labels []int) (loss float64, dlogits *tensor.Mat) {
+	d := tensor.NewMat(logits.Rows, logits.Cols)
+	return SoftmaxCEInto(d, logits, labels), d
+}
+
+// SoftmaxCEInto is SoftmaxCE writing the gradient into d (same shape as
+// logits, not aliasing it), for callers that reuse the buffer every step.
+func SoftmaxCEInto(d, logits *tensor.Mat, labels []int) (loss float64) {
 	if len(labels) != logits.Rows {
 		panic("nn: SoftmaxCE label count mismatch")
 	}
-	d := tensor.NewMat(logits.Rows, logits.Cols)
+	if d.Rows != logits.Rows || d.Cols != logits.Cols {
+		panic("nn: SoftmaxCE gradient shape mismatch")
+	}
 	invB := 1 / float32(logits.Rows)
 	for s := 0; s < logits.Rows; s++ {
 		row := logits.Row(s)
@@ -44,7 +53,7 @@ func SoftmaxCE(logits *tensor.Mat, labels []int) (loss float64, dlogits *tensor.
 		}
 	}
 	loss /= float64(logits.Rows)
-	return loss, d
+	return loss
 }
 
 // Accuracy returns the top-1 accuracy of logits against labels.

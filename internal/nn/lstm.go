@@ -36,13 +36,75 @@ type LSTMLM struct {
 	params   []Param
 	paramOff []int
 
-	// caches for BPTT, indexed [layer][t]
-	tokens  [][]int
-	xs      [][]*tensor.Mat // layer inputs per t: (B, in)
-	hs, cs  [][]*tensor.Mat // states per t (index t+1; index 0 is zeros)
-	gates   [][]*tensor.Mat // post-activation gate values per t: (B, 4H)
-	tanhC   [][]*tensor.Mat // tanh(c_t) per t
-	dlogits []*tensor.Mat   // per t
+	// Forward packs Wx/Wh/Wy transposed here once per call, so every
+	// timestep's products read them through tensor.MatMulABTPacked.
+	wxT, whT []tensor.Mat
+	wyT      tensor.Mat
+
+	// tokens is the sequence batch of the last training Forward, nil once
+	// Backward has consumed it.
+	tokens [][]int
+	// train is the training Forward's workspace, kept across calls so the
+	// steady-state step allocates nothing. An evaluation Forward builds a
+	// workspace per call: it runs once per epoch, and its batch size must
+	// not evict this one.
+	train lstmWork
+}
+
+// lstmWork holds every matrix of one Forward and its BPTT: the caches
+// indexed [layer][t] and the per-step temporaries. It is reallocated only
+// when the batch size or sequence length changes.
+type lstmWork struct {
+	B, T    int
+	xs      [][]tensor.Mat // layer inputs per t: (B, in); l > 0 views hs[l-1][t+1]
+	hs, cs  [][]tensor.Mat // states per t (index t+1; index 0 stays zero)
+	gates   [][]tensor.Mat // post-activation gate values per t: (B, 4H)
+	tanhC   [][]tensor.Mat // tanh(c_t) per t
+	dlogits []tensor.Mat   // per t: (B, Vocab)
+	logits  tensor.Mat     // (B, Vocab)
+	labels  []int          // (B)
+	zh, dz  tensor.Mat     // (B, 4H): h·Whᵀ in Forward, dL/dz in Backward
+	dx      tensor.Mat     // (B, Embed): layer 0's input gradient
+	// Per-layer carried state gradients and the next timestep's, swapped
+	// after each layer's step.
+	dh, dc, ndh, ndc []tensor.Mat // (B, H)
+}
+
+// mats carves n rows×cols matrices out of one zeroed allocation.
+func mats(n, rows, cols int) []tensor.Mat {
+	sz := rows * cols
+	data := make([]float32, n*sz)
+	ms := make([]tensor.Mat, n)
+	for i := range ms {
+		ms[i] = tensor.Mat{Rows: rows, Cols: cols, Data: data[i*sz : (i+1)*sz : (i+1)*sz]}
+	}
+	return ms
+}
+
+// ensure sizes the workspace for batch B and T predictions.
+func (ws *lstmWork) ensure(m *LSTMLM, B, T int) {
+	if ws.B == B && ws.T == T {
+		return
+	}
+	L, H, h4 := m.Layers, m.Hidden, 4*m.Hidden
+	*ws = lstmWork{B: B, T: T,
+		xs: make([][]tensor.Mat, L), hs: make([][]tensor.Mat, L), cs: make([][]tensor.Mat, L),
+		gates: make([][]tensor.Mat, L), tanhC: make([][]tensor.Mat, L),
+		dlogits: mats(T, B, m.Vocab), logits: *tensor.NewMat(B, m.Vocab), labels: make([]int, B),
+		zh: *tensor.NewMat(B, h4), dz: *tensor.NewMat(B, h4), dx: *tensor.NewMat(B, m.Embed),
+		dh: mats(L, B, H), dc: mats(L, B, H), ndh: mats(L, B, H), ndc: mats(L, B, H),
+	}
+	for l := 0; l < L; l++ {
+		if l == 0 {
+			ws.xs[l] = mats(T, B, m.Embed)
+		} else {
+			ws.xs[l] = ws.hs[l-1][1:]
+		}
+		ws.hs[l] = mats(T+1, B, H)
+		ws.cs[l] = mats(T+1, B, H)
+		ws.gates[l] = mats(T, B, h4)
+		ws.tanhC[l] = mats(T, B, H)
+	}
 }
 
 // NewLSTMLM builds a single-layer model with Xavier initialization.
@@ -146,24 +208,36 @@ func (m *LSTMLM) layerIn(l int) int {
 	return m.Hidden
 }
 
-// cellForward runs one LSTM layer for one timestep: given input x, previous
-// h and c, it returns (gates, newH, newC, tanhC). gates holds the
-// post-activation [i f g o] values.
-func (m *LSTMLM) cellForward(l int, x, h, c *tensor.Mat) (z, newH, newC, tc *tensor.Mat) {
-	B := x.Rows
+// packWeights refreshes the transposed copies of Wx, Wh and Wy.
+func (m *LSTMLM) packWeights() {
+	H, h4 := m.Hidden, 4*m.Hidden
+	if m.wxT == nil {
+		for l := 0; l < m.Layers; l++ {
+			m.wxT = append(m.wxT, *tensor.NewMat(m.layerIn(l), h4))
+			m.whT = append(m.whT, *tensor.NewMat(H, h4))
+		}
+		m.wyT = *tensor.NewMat(H, m.Vocab)
+	}
+	for l := 0; l < m.Layers; l++ {
+		tensor.Transpose(&m.wxT[l], tensor.MatFrom(h4, m.layerIn(l), m.Wx[l]))
+		tensor.Transpose(&m.whT[l], tensor.MatFrom(h4, H, m.Wh[l]))
+	}
+	tensor.Transpose(&m.wyT, tensor.MatFrom(m.Vocab, H, m.Wy))
+}
+
+// cellForward runs layer l for timestep t of the workspace: from the input
+// xs[l][t] and the previous hs/cs[l][t] it writes the post-activation
+// [i f g o] gates, tanhC[l][t] and the new hs/cs[l][t+1].
+func (m *LSTMLM) cellForward(ws *lstmWork, l, t int) {
 	H := m.Hidden
-	wx := tensor.MatFrom(4*H, m.layerIn(l), m.Wx[l])
-	wh := tensor.MatFrom(4*H, H, m.Wh[l])
-	z = tensor.NewMat(B, 4*H)
-	tensor.MatMulABT(z, x, wx)
-	zh := tensor.NewMat(B, 4*H)
-	tensor.MatMulABT(zh, h, wh)
-	tensor.Add(z.Data, zh.Data)
+	z := &ws.gates[l][t]
+	tensor.MatMulABTPacked(z, &ws.xs[l][t], &m.wxT[l])
+	tensor.MatMulABTPacked(&ws.zh, &ws.hs[l][t], &m.whT[l])
+	tensor.Add(z.Data, ws.zh.Data)
 	tensor.AddRowVec(z, m.B[l])
-	newH = tensor.NewMat(B, H)
-	newC = tensor.NewMat(B, H)
-	tc = tensor.NewMat(B, H)
-	for b := 0; b < B; b++ {
+	c := &ws.cs[l][t]
+	newH, newC, tc := &ws.hs[l][t+1], &ws.cs[l][t+1], &ws.tanhC[l][t]
+	for b := 0; b < ws.B; b++ {
 		zr := z.Row(b)
 		cPrev := c.Row(b)
 		hr, cr, tr := newH.Row(b), newC.Row(b), tc.Row(b)
@@ -178,12 +252,12 @@ func (m *LSTMLM) cellForward(l int, x, h, c *tensor.Mat) (z, newH, newC, tc *ten
 			hr[j] = og * tr[j]
 		}
 	}
-	return z, newH, newC, tc
 }
 
 // Forward runs the model over tokens[b][t], predicting tokens[b][t+1] for
 // t < T−1, and returns the mean cross-entropy per predicted token. When
-// train is true the activations are cached for Backward.
+// train is true the activations stay cached for Backward, and tokens must
+// not change until it runs.
 func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	B := len(tokens)
 	if B == 0 {
@@ -193,38 +267,20 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	if T < 1 {
 		panic("nn: LSTMLM needs sequences of length ≥ 2")
 	}
-	H := m.Hidden
-	wy := tensor.MatFrom(m.Vocab, H, m.Wy)
-
+	ws := &m.train
 	if train {
 		m.tokens = tokens
-		m.xs = make([][]*tensor.Mat, m.Layers)
-		m.hs = make([][]*tensor.Mat, m.Layers)
-		m.cs = make([][]*tensor.Mat, m.Layers)
-		m.gates = make([][]*tensor.Mat, m.Layers)
-		m.tanhC = make([][]*tensor.Mat, m.Layers)
-		m.dlogits = make([]*tensor.Mat, T)
-		for l := 0; l < m.Layers; l++ {
-			m.xs[l] = make([]*tensor.Mat, T)
-			m.hs[l] = make([]*tensor.Mat, T+1)
-			m.cs[l] = make([]*tensor.Mat, T+1)
-			m.gates[l] = make([]*tensor.Mat, T)
-			m.tanhC[l] = make([]*tensor.Mat, T)
-			m.hs[l][0] = tensor.NewMat(B, H)
-			m.cs[l][0] = tensor.NewMat(B, H)
-		}
+	} else {
+		ws = new(lstmWork)
 	}
-	h := make([]*tensor.Mat, m.Layers)
-	c := make([]*tensor.Mat, m.Layers)
-	for l := range h {
-		h[l] = tensor.NewMat(B, H)
-		c[l] = tensor.NewMat(B, H)
-	}
+	ws.ensure(m, B, T)
+	m.packWeights()
+	top := m.Layers - 1
 
 	var totalCE float64
 	for t := 0; t < T; t++ {
 		// Embed tokens at position t.
-		x := tensor.NewMat(B, m.Embed)
+		x := &ws.xs[0][t]
 		for b := 0; b < B; b++ {
 			tok := tokens[b][t]
 			if tok < 0 || tok >= m.Vocab {
@@ -232,33 +288,17 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 			}
 			copy(x.Row(b), m.E[tok*m.Embed:(tok+1)*m.Embed])
 		}
-		// Stack of LSTM layers.
-		in := x
+		// Stack of LSTM layers; layer l > 0 reads hs[l-1][t+1] as input.
 		for l := 0; l < m.Layers; l++ {
-			z, newH, newC, tc := m.cellForward(l, in, h[l], c[l])
-			if train {
-				m.xs[l][t] = in
-				m.gates[l][t] = z
-				m.tanhC[l][t] = tc
-				m.hs[l][t+1] = newH
-				m.cs[l][t+1] = newC
-			}
-			h[l], c[l] = newH, newC
-			in = newH
+			m.cellForward(ws, l, t)
 		}
 		// Output logits and loss against the next token.
-		logits := tensor.NewMat(B, m.Vocab)
-		tensor.MatMulABT(logits, in, wy)
-		tensor.AddRowVec(logits, m.By)
-		labels := make([]int, B)
+		tensor.MatMulABTPacked(&ws.logits, &ws.hs[top][t+1], &m.wyT)
+		tensor.AddRowVec(&ws.logits, m.By)
 		for b := 0; b < B; b++ {
-			labels[b] = tokens[b][t+1]
+			ws.labels[b] = tokens[b][t+1]
 		}
-		ce, dlog := SoftmaxCE(logits, labels)
-		totalCE += ce
-		if train {
-			m.dlogits[t] = dlog
-		}
+		totalCE += SoftmaxCEInto(&ws.dlogits[t], &ws.logits, ws.labels)
 	}
 	return totalCE / float64(T)
 }
@@ -278,41 +318,36 @@ func (m *LSTMLM) Backward() { m.BackwardInterleaved(nil) }
 // elements [lo, NumParams()) are final, ending with a guaranteed
 // onReady(0). nil onReady skips the reporting (plain Backward).
 func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
+	if m.tokens == nil {
+		return
+	}
 	if m.params == nil {
 		m.buildCache()
 	}
-	B := len(m.tokens)
-	T := len(m.dlogits)
+	ws := &m.train
+	B, T := ws.B, ws.T
 	H := m.Hidden
 	wy := tensor.MatFrom(m.Vocab, H, m.Wy)
 	gwy := tensor.MatFrom(m.Vocab, H, m.GWy)
-	scratchWy := tensor.NewMat(m.Vocab, H)
-
-	// Per-layer carried state gradients.
-	dh := make([]*tensor.Mat, m.Layers)
-	dc := make([]*tensor.Mat, m.Layers)
-	for l := range dh {
-		dh[l] = tensor.NewMat(B, H)
-		dc[l] = tensor.NewMat(B, H)
+	for l := 0; l < m.Layers; l++ {
+		tensor.Zero(ws.dh[l].Data)
+		tensor.Zero(ws.dc[l].Data)
 	}
 	invT := float32(1.0 / float64(T))
 
 	for t := T - 1; t >= 0; t-- {
-		dlog := m.dlogits[t]
+		dlog := &ws.dlogits[t]
 		// Scale: Forward averaged CE over T steps.
 		tensor.Scale(dlog.Data, invT)
 		top := m.Layers - 1
-		tensor.MatMulATB(scratchWy, dlog, m.hs[top][t+1])
-		tensor.Add(gwy.Data, scratchWy.Data)
+		tensor.MatMulATBAdd(gwy, dlog, &ws.hs[top][t+1])
 		for b := 0; b < B; b++ {
 			row := dlog.Row(b)
 			for v, g := range row {
 				m.GBy[v] += g
 			}
 		}
-		dhOut := tensor.NewMat(B, H)
-		tensor.MatMul(dhOut, dlog, wy)
-		tensor.Add(dh[top].Data, dhOut.Data)
+		tensor.MatMulAdd(&ws.dh[top], dlog, wy)
 		if t == 0 && onReady != nil {
 			// No later write touches GWy/GBy: the projection span is final.
 			onReady(m.paramOff[1+3*m.Layers])
@@ -324,14 +359,13 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 			in := m.layerIn(l)
 			wx := tensor.MatFrom(4*H, in, m.Wx[l])
 			wh := tensor.MatFrom(4*H, H, m.Wh[l])
-			dz := tensor.NewMat(B, 4*H)
-			newDh := tensor.NewMat(B, H)
-			newDc := tensor.NewMat(B, H)
+			dz := &ws.dz
+			newDh, newDc := &ws.ndh[l], &ws.ndc[l]
 			for b := 0; b < B; b++ {
-				zr := m.gates[l][t].Row(b) // [i f g o] post-activation
-				tr := m.tanhC[l][t].Row(b)
-				cPrev := m.cs[l][t].Row(b)
-				dhr, dcr := dh[l].Row(b), dc[l].Row(b)
+				zr := ws.gates[l][t].Row(b) // [i f g o] post-activation
+				tr := ws.tanhC[l][t].Row(b)
+				cPrev := ws.cs[l][t].Row(b)
+				dhr, dcr := ws.dh[l].Row(b), ws.dc[l].Row(b)
 				dzr := dz.Row(b)
 				ndc := newDc.Row(b)
 				for j := 0; j < H; j++ {
@@ -345,27 +379,23 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 				}
 			}
 			// Parameter grads.
-			scratchWx := tensor.NewMat(4*H, in)
-			tensor.MatMulATB(scratchWx, dz, m.xs[l][t])
-			tensor.Add(m.GWx[l], scratchWx.Data)
-			scratchWh := tensor.NewMat(4*H, H)
-			tensor.MatMulATB(scratchWh, dz, m.hs[l][t])
-			tensor.Add(m.GWh[l], scratchWh.Data)
+			tensor.MatMulATBAdd(tensor.MatFrom(4*H, in, m.GWx[l]), dz, &ws.xs[l][t])
+			tensor.MatMulATBAdd(tensor.MatFrom(4*H, H, m.GWh[l]), dz, &ws.hs[l][t])
 			tensor.ColSums(m.GB[l], dz)
 			// dx: to the embedding (l=0) or to the layer below's dh.
-			dx := tensor.NewMat(B, in)
-			tensor.MatMul(dx, dz, wx)
 			if l == 0 {
+				tensor.MatMul(&ws.dx, dz, wx)
 				for b := 0; b < B; b++ {
 					tok := m.tokens[b][t]
-					tensor.Add(m.GE[tok*m.Embed:(tok+1)*m.Embed], dx.Row(b))
+					tensor.Add(m.GE[tok*m.Embed:(tok+1)*m.Embed], ws.dx.Row(b))
 				}
 			} else {
-				tensor.Add(dh[l-1].Data, dx.Data)
+				tensor.MatMulAdd(&ws.dh[l-1], dz, wx)
 			}
 			// dh_{t-1}, dc_{t-1} for this layer.
 			tensor.MatMul(newDh, dz, wh)
-			dh[l], dc[l] = newDh, newDc
+			ws.dh[l], ws.ndh[l] = ws.ndh[l], ws.dh[l]
+			ws.dc[l], ws.ndc[l] = ws.ndc[l], ws.dc[l]
 			if t == 0 && onReady != nil {
 				if l == 0 {
 					// Layer 0's input backprop wrote the last embedding
@@ -377,6 +407,5 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 			}
 		}
 	}
-	// Release caches.
-	m.xs, m.hs, m.cs, m.gates, m.tanhC, m.dlogits, m.tokens = nil, nil, nil, nil, nil, nil, nil
+	m.tokens = nil
 }

@@ -250,6 +250,40 @@ func TestLinearShapeValidation(t *testing.T) {
 	l.Forward(tensor.NewMat(1, 5), false)
 }
 
+// TestLinearBackwardAccumulates pins the Layer contract "dW +=": a second
+// Backward adds its product to GW (bitwise MatMulATB into scratch, then Add)
+// just as ColSums adds to GB. GW's product is summed before the add, so it
+// doubles exactly; GB adds row by row.
+func TestLinearBackwardAccumulates(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	l := NewLinear(rng, 19, 6)
+	x := tensor.NewMat(5, 19)
+	rng.NormVec(x.Data, 0, 1)
+	dout := tensor.NewMat(5, 6)
+	rng.NormVec(dout.Data, 0, 1)
+	l.Forward(x, true)
+	l.Backward(dout)
+	gw1, gb1 := tensor.Clone(l.GW), tensor.Clone(l.GB)
+	scratch := tensor.NewMat(6, 19)
+	tensor.MatMulATB(scratch, dout, x)
+	wantGW := tensor.Clone(gw1)
+	tensor.Add(wantGW, scratch.Data)
+	wantGB := tensor.Clone(gb1)
+	tensor.ColSums(wantGB, dout)
+
+	l.Backward(dout)
+	for i, g := range l.GW {
+		if math.Float32bits(g) != math.Float32bits(wantGW[i]) || g != 2*gw1[i] {
+			t.Fatalf("GW[%d] = %v after two Backward calls, want %v (2 × %v)", i, g, wantGW[i], gw1[i])
+		}
+	}
+	for i, g := range l.GB {
+		if math.Float32bits(g) != math.Float32bits(wantGB[i]) {
+			t.Fatalf("GB[%d] = %v after two Backward calls, want %v", i, g, wantGB[i])
+		}
+	}
+}
+
 func TestConv2DShapeValidation(t *testing.T) {
 	c := NewConv2D(tensor.NewRNG(1), Shape{C: 1, H: 4, W: 4}, 2, 3, 1, 1)
 	defer func() {

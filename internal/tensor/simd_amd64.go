@@ -6,8 +6,9 @@ import "math"
 
 // This file extends the bits.go build-tag pattern from byte views to compute
 // kernels: hand-written SSE2 assembly for the elementwise hot loops (Add,
-// AXPY, Scale, AbsMax, SelectAdd) and for the stochastic level-quantization
-// inner loop shared by QSGD and TernGrad. SSE2 is part of the amd64
+// AXPY, Scale, AbsMax, SelectAdd), for the register-blocked matrix products
+// (MatMul, MatMulATB, MatMulABTPacked) and for the stochastic
+// level-quantization inner loop shared by QSGD and TernGrad. SSE2 is part of the amd64
 // baseline (GOAMD64=v1) so no runtime feature detection is needed; the
 // purego tag or any other GOARCH selects the portable fallbacks in
 // simd_generic.go.
@@ -16,7 +17,8 @@ import "math"
 // elementwise and order-independent operations are vectorized (per-lane
 // add/mul, max, truncation), never float reductions whose association order
 // would change the rounded result (SumLanes' eight lanes are the scalar
-// loop's eight accumulators, one per lane). The quantization kernel reproduces the
+// loop's eight accumulators, one per lane; a matrix product's lanes are
+// output columns, each with its own k-ordered sum). The quantization kernel reproduces the
 // scalar float64 arithmetic operation-for-operation (convert, abs, divide by
 // norm, multiply by s, truncate, stochastic promote, clamp). Kernels assume
 // finite inputs; gradient health checks (HasNaNOrInf) run upstream.
@@ -82,6 +84,20 @@ func sqDevLanesKernel(v *float32, n int, c float64, s *[8]float64)
 //go:noescape
 func gaussTailKernel(dst *int32, src *float32, n int, base int32, mu, tau float64, lo, hi float32) int64
 
+// gemmKernel computes m rows of gemm (k, n >= 1): output row i reads a
+// from a + i·ars with element stride aks, and b as k contiguous rows of n.
+// Each block of 16 columns (then 4, then 1) keeps its accumulators in
+// registers across the whole k loop.
+//
+//go:noescape
+func gemmKernel(dst, a, b *float32, m, k, n, ars, aks int, add bool)
+
+// gemmDotKernel computes m rows of gemmDot (k, n >= 1) over blocks of 8
+// output columns (then 2, then 1), each lane a float64 chain.
+//
+//go:noescape
+func gemmDotKernel(dst, a, bt *float32, m, k, n int)
+
 // eliasPackKernel is the batched Elias-gamma+sign writer
 // (EliasGammaSignPack); scalar amd64 code — the win over the portable loop
 // is BSR for the bit length and the branch-free two-word store.
@@ -145,6 +161,14 @@ func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, 
 	}
 	qsgdFieldsKernel(&fields[0], &g[0], &rnd[0], n, float64(norm), float64(levels))
 	return n
+}
+
+func gemmArch(dst, a, b Vec, m, k, n, ars, aks int, add bool) {
+	gemmKernel(&dst[0], &a[0], &b[0], m, k, n, ars, aks, add)
+}
+
+func gemmDotArch(dst, a, bt Vec, m, k, n int) {
+	gemmDotKernel(&dst[0], &a[0], &bt[0], m, k, n)
 }
 
 func vecSelectAdd(dst, base, sgn Vec, p, n float32) {

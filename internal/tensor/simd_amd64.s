@@ -654,3 +654,291 @@ smFold:
 	MOVQ   X4, AX
 	MOVQ   AX, nNeg+32(FP)
 	RET
+
+// func gemmKernel(dst, a, b *float32, m, k, n, ars, aks int, add bool)
+// For each of m output rows, dst[j] = Σ_kk a[kk·aks]·b[kk·n + j] (plus the
+// old dst[j] when add), then a += ars. The sum runs kk-ascending from +0
+// with MULPS then ADDPS per term, skipping a[kk·aks] == 0 (UCOMISS: an
+// unordered compare, i.e. a NaN, is not skipped). Columns go in blocks of
+// 16 (four accumulators), then 4, then 1. dst rows are contiguous.
+//
+// Registers: DI dst, SI a row, DX b, R8 aks bytes, R9 b row bytes, R10 a
+// row span (k·aks bytes), R11 rows left, R12 a row end, CX columns left,
+// AX b column, R13 a walk, BX b walk; X14 = 0, X4 = broadcast a.
+TEXT ·gemmKernel(SB), NOSPLIT, $0-65
+	MOVQ  dst+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  b+16(FP), DX
+	MOVQ  m+24(FP), R11
+	MOVQ  aks+56(FP), R8
+	SHLQ  $2, R8
+	MOVQ  n+40(FP), R9
+	SHLQ  $2, R9
+	MOVQ  k+32(FP), R10
+	IMULQ R8, R10
+	XORPS X14, X14
+
+gemmRow:
+	TESTQ R11, R11
+	JEQ   gemmDone
+	LEAQ  (SI)(R10*1), R12
+	MOVQ  DX, AX
+	MOVQ  n+40(FP), CX
+
+gemmC16:
+	CMPQ  CX, $16
+	JLT   gemmC4
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	MOVQ  SI, R13
+	MOVQ  AX, BX
+
+gemmK16:
+	MOVSS   (R13), X4
+	UCOMISS X14, X4
+	JPS     gemmM16
+	JEQ     gemmN16
+
+gemmM16:
+	SHUFPS $0x00, X4, X4
+	MOVUPS (BX), X5
+	MOVUPS 16(BX), X6
+	MOVUPS 32(BX), X7
+	MOVUPS 48(BX), X8
+	MULPS  X4, X5
+	MULPS  X4, X6
+	MULPS  X4, X7
+	MULPS  X4, X8
+	ADDPS  X5, X0
+	ADDPS  X6, X1
+	ADDPS  X7, X2
+	ADDPS  X8, X3
+
+gemmN16:
+	ADDQ R8, R13
+	ADDQ R9, BX
+	CMPQ R13, R12
+	JNE  gemmK16
+	CMPB add+64(FP), $0
+	JEQ  gemmS16
+	MOVUPS (DI), X5
+	MOVUPS 16(DI), X6
+	MOVUPS 32(DI), X7
+	MOVUPS 48(DI), X8
+	ADDPS  X5, X0
+	ADDPS  X6, X1
+	ADDPS  X7, X2
+	ADDPS  X8, X3
+
+gemmS16:
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	ADDQ   $64, DI
+	ADDQ   $64, AX
+	SUBQ   $16, CX
+	JMP    gemmC16
+
+gemmC4:
+	CMPQ  CX, $4
+	JLT   gemmC1
+	XORPS X0, X0
+	MOVQ  SI, R13
+	MOVQ  AX, BX
+
+gemmK4:
+	MOVSS   (R13), X4
+	UCOMISS X14, X4
+	JPS     gemmM4
+	JEQ     gemmN4
+
+gemmM4:
+	SHUFPS $0x00, X4, X4
+	MOVUPS (BX), X5
+	MULPS  X4, X5
+	ADDPS  X5, X0
+
+gemmN4:
+	ADDQ R8, R13
+	ADDQ R9, BX
+	CMPQ R13, R12
+	JNE  gemmK4
+	CMPB add+64(FP), $0
+	JEQ  gemmS4
+	MOVUPS (DI), X5
+	ADDPS  X5, X0
+
+gemmS4:
+	MOVUPS X0, (DI)
+	ADDQ   $16, DI
+	ADDQ   $16, AX
+	SUBQ   $4, CX
+	JMP    gemmC4
+
+gemmC1:
+	TESTQ CX, CX
+	JEQ   gemmRowEnd
+	XORPS X0, X0
+	MOVQ  SI, R13
+	MOVQ  AX, BX
+
+gemmK1:
+	MOVSS   (R13), X4
+	UCOMISS X14, X4
+	JPS     gemmM1
+	JEQ     gemmN1
+
+gemmM1:
+	MOVSS (BX), X5
+	MULSS X4, X5
+	ADDSS X5, X0
+
+gemmN1:
+	ADDQ R8, R13
+	ADDQ R9, BX
+	CMPQ R13, R12
+	JNE  gemmK1
+	CMPB add+64(FP), $0
+	JEQ  gemmS1
+	MOVSS (DI), X5
+	ADDSS X5, X0
+
+gemmS1:
+	MOVSS X0, (DI)
+	ADDQ  $4, DI
+	ADDQ  $4, AX
+	DECQ  CX
+	JMP   gemmC1
+
+gemmRowEnd:
+	MOVQ ars+48(FP), R13
+	LEAQ (SI)(R13*4), SI
+	DECQ R11
+	JMP  gemmRow
+
+gemmDone:
+	RET
+
+// func gemmDotKernel(dst, a, bt *float32, m, k, n int)
+// For each of m output rows, dst[j] = float32(Σ_kk float64(a[kk])·
+// float64(bt[kk·n + j])), then a += k. Each column is its own float64
+// chain, kk-ascending from +0: CVTPS2PD, MULPD (exact: a float32 product
+// fits in a float64), ADDPD, and one CVTPD2PS at the end — Dot's arithmetic
+// per element. Columns go in blocks of 8 (four accumulators), then 2,
+// then 1.
+//
+// Registers as in gemmKernel; the a walk steps 4 bytes and X4 holds the
+// broadcast float64(a[kk]).
+TEXT ·gemmDotKernel(SB), NOSPLIT, $0-48
+	MOVQ  dst+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  bt+16(FP), DX
+	MOVQ  m+24(FP), R11
+	MOVQ  n+40(FP), R9
+	SHLQ  $2, R9
+	MOVQ  k+32(FP), R10
+	SHLQ  $2, R10
+
+dotRow:
+	TESTQ R11, R11
+	JEQ   dotDone
+	LEAQ  (SI)(R10*1), R12
+	MOVQ  DX, AX
+	MOVQ  n+40(FP), CX
+
+dotC8:
+	CMPQ  CX, $8
+	JLT   dotC2
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	MOVQ  SI, R13
+	MOVQ  AX, BX
+
+dotK8:
+	CVTSS2SD (R13), X4
+	UNPCKLPD X4, X4
+	CVTPS2PD (BX), X5
+	CVTPS2PD 8(BX), X6
+	CVTPS2PD 16(BX), X7
+	CVTPS2PD 24(BX), X8
+	MULPD    X4, X5
+	MULPD    X4, X6
+	MULPD    X4, X7
+	MULPD    X4, X8
+	ADDPD    X5, X0
+	ADDPD    X6, X1
+	ADDPD    X7, X2
+	ADDPD    X8, X3
+	ADDQ     $4, R13
+	ADDQ     R9, BX
+	CMPQ     R13, R12
+	JNE      dotK8
+	CVTPD2PS X0, X0
+	CVTPD2PS X1, X1
+	MOVLHPS  X1, X0
+	CVTPD2PS X2, X2
+	CVTPD2PS X3, X3
+	MOVLHPS  X3, X2
+	MOVUPS   X0, (DI)
+	MOVUPS   X2, 16(DI)
+	ADDQ     $32, DI
+	ADDQ     $32, AX
+	SUBQ     $8, CX
+	JMP      dotC8
+
+dotC2:
+	CMPQ  CX, $2
+	JLT   dotC1
+	XORPS X0, X0
+	MOVQ  SI, R13
+	MOVQ  AX, BX
+
+dotK2:
+	CVTSS2SD (R13), X4
+	UNPCKLPD X4, X4
+	CVTPS2PD (BX), X5
+	MULPD    X4, X5
+	ADDPD    X5, X0
+	ADDQ     $4, R13
+	ADDQ     R9, BX
+	CMPQ     R13, R12
+	JNE      dotK2
+	CVTPD2PS X0, X0
+	MOVSD    X0, (DI)
+	ADDQ     $8, DI
+	ADDQ     $8, AX
+	SUBQ     $2, CX
+	JMP      dotC2
+
+dotC1:
+	TESTQ CX, CX
+	JEQ   dotRowEnd
+	XORPS X0, X0
+	MOVQ  SI, R13
+	MOVQ  AX, BX
+
+dotK1:
+	CVTSS2SD (R13), X4
+	CVTSS2SD (BX), X5
+	MULSD    X4, X5
+	ADDSD    X5, X0
+	ADDQ     $4, R13
+	ADDQ     R9, BX
+	CMPQ     R13, R12
+	JNE      dotK1
+	CVTSD2SS X0, X0
+	MOVSS    X0, (DI)
+	ADDQ     $4, DI
+
+dotRowEnd:
+	MOVQ R12, SI
+	DECQ R11
+	JMP  dotRow
+
+dotDone:
+	RET

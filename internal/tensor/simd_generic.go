@@ -16,6 +16,12 @@ func vecAbsMax(v Vec) float32             { return absMaxScalar(v) }
 
 func vecSelectAdd(dst, base, sgn Vec, p, n float32) { selectAddScalar(dst, base, sgn, p, n) }
 
+func gemmArch(dst, a, b Vec, m, k, n, ars, aks int, add bool) {
+	gemmScalar(dst, a, b, m, k, n, ars, aks, add)
+}
+
+func gemmDotArch(dst, a, bt Vec, m, k, n int) { gemmDotScalar(dst, a, bt, m, k, n) }
+
 // quantFieldsArch handles no elements on portable builds; the caller's scalar
 // loop does all the work.
 func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, levels int) int {
