@@ -251,8 +251,8 @@ type TrainConfig struct {
 	// error feedback, seeds and A2SGD means) and its own collective. 0 keeps
 	// the whole-model single bucket.
 	BucketBytes int
-	// Overlap pipelines bucket i's synchronization behind the gather+encode
-	// of bucket i+1 (DDP-style comm/compute overlap). Results are bitwise
+	// Overlap pipelines each bucket's synchronization behind the encode of
+	// the next (DDP-style comm/compute overlap). Results are bitwise
 	// identical to the synchronous path for the same bucket plan.
 	Overlap bool
 	// Concurrency is the number of tag-space contexts the overlap path may

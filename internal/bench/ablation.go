@@ -57,8 +57,8 @@ func Ablation(w io.Writer, workers, epochs int) ([]AblationResult, error) {
 		spec := specWithDensity(variant, 0.05)
 		res, err := cluster.Train(cluster.Config{
 			Workers: workers, Family: "fnn3",
-			NewAlgorithm: func(rank, n int) compress.Algorithm {
-				return newAlgo(spec, n, uint64(rank+1))
+			NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
+				return newAlgo(spec, info.Params, uint64(rank+1))
 			},
 			Epochs:         epochs,
 			StepsPerEpoch:  12,

@@ -36,8 +36,8 @@ func Figure1(w io.Writer, epochs, stepsPerEpoch int, render bool) ([]Figure1Resu
 	for _, fam := range []string{"fnn3", "resnet20"} {
 		res, err := cluster.Train(cluster.Config{
 			Workers: 1, Family: fam,
-			NewAlgorithm: func(rank, n int) compress.Algorithm {
-				return compress.NewDense(compress.DefaultOptions(n))
+			NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
+				return compress.NewDense(compress.DefaultOptions(info.Params))
 			},
 			Epochs: epochs, StepsPerEpoch: stepsPerEpoch,
 			BatchPerWorker: 32, Seed: 11, Momentum: 0.9,

@@ -88,8 +88,8 @@ func Figure3(w io.Writer, cfg Figure3Config) ([]Figure3Series, error) {
 				spec := specWithDensity(algo, cfg.Density)
 				res, err := cluster.Train(cluster.Config{
 					Workers: p, Family: fam,
-					NewAlgorithm: func(rank, n int) compress.Algorithm {
-						return newAlgo(spec, n, cfg.Seed*31+uint64(rank)+1)
+					NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
+						return newAlgo(spec, info.Params, cfg.Seed*31+uint64(rank)+1)
 					},
 					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
 					BatchPerWorker: cfg.Batch, Seed: cfg.Seed, Momentum: 0.9,

@@ -24,9 +24,9 @@ func bucketCfg(algo string, workers, bucketBytes int, overlap bool) Config {
 // allreduce, whose per-element reduction order is independent of vector
 // length — the property that makes bucketed dense bitwise-equal to
 // whole-vector dense.
-func recDoublingFactory(name string) func(rank, n int) compress.Algorithm {
-	return func(rank, n int) compress.Algorithm {
-		o := compress.DefaultOptions(n)
+func recDoublingFactory(name string) func(rank int, info compress.BucketInfo) compress.Algorithm {
+	return func(rank int, info compress.BucketInfo) compress.Algorithm {
+		o := compress.DefaultOptions(info.Params)
 		o.Allreduce = comm.AlgoRecursiveDoubling
 		switch name {
 		case "dense":
@@ -84,7 +84,7 @@ func TestOverlapMatchesSynchronousBuckets(t *testing.T) {
 // per-element reduction order does not depend on the vector length.
 func TestBucketedDenseMatchesSingleBucket(t *testing.T) {
 	single := bucketCfg("dense", 4, 0, false)
-	single.NewAlgorithm = recDoublingFactory("dense")
+	single.NewBucketAlgorithm = recDoublingFactory("dense")
 	rs, err := Train(single)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestBucketedDenseMatchesSingleBucket(t *testing.T) {
 		t.Fatalf("single-bucket run has %d buckets", rs.Buckets)
 	}
 	bucketed := bucketCfg("dense", 4, fourBucketBytes, true)
-	bucketed.NewAlgorithm = recDoublingFactory("dense")
+	bucketed.NewBucketAlgorithm = recDoublingFactory("dense")
 	rb, err := Train(bucketed)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,6 @@ func TestBucketedA2SGDConverges(t *testing.T) {
 func TestPerBucketSeedsDiffer(t *testing.T) {
 	seeds := map[int]uint64{}
 	cfg := bucketCfg("qsgd", 2, fourBucketBytes, true)
-	cfg.NewAlgorithm = nil
 	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
 		o := compress.DefaultOptions(info.Params)
 		o.Seed = uint64(rank+1)*1000 + uint64(info.Index)

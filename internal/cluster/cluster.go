@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,27 +101,25 @@ type Config struct {
 	Membership Membership
 	// Family selects the model family ("fnn3", "vgg16", "resnet20", "lstm").
 	Family string
-	// NewAlgorithm builds the per-worker synchronization algorithm. The
-	// parameter count is the bucket's element count (the model's NumParams
-	// when BucketBytes is 0, i.e. a single whole-model bucket).
-	NewAlgorithm func(rank, numParams int) compress.Algorithm
-	// NewBucketAlgorithm, when non-nil, builds per-bucket algorithm
-	// instances with the bucket's metadata available — its index (so
-	// per-bucket stochastic seeds can differ), element count, raw byte size
+	// NewBucketAlgorithm builds one rank's synchronization algorithm for
+	// one bucket, with the bucket's metadata available — its index (so
+	// per-bucket stochastic seeds can differ), element count (info.Params;
+	// the model's NumParams for a single whole-model bucket), raw byte size
 	// and covered layer names — which is what a per-bucket policy (the
-	// compress.Policy layer) keys its spec choice on. Nil falls back to
-	// NewAlgorithm(rank, n) per bucket.
+	// compress.Policy layer) keys its spec choice on. Nil requires a
+	// Schedule, whose specs then build every bucket.
 	NewBucketAlgorithm func(rank int, info compress.BucketInfo) compress.Algorithm
 	// BucketBytes partitions the flattened gradient into layer-granular
 	// buckets of at most this many bytes (nn.PlanBuckets); each bucket gets
 	// its own algorithm instance and its own collective. 0 keeps the legacy
 	// whole-model single bucket.
 	BucketBytes int
-	// Overlap launches bucket i's exchange on the communicator's progress
-	// worker while bucket i+1 is still being gathered and encoded, hiding
-	// synchronization behind local compute. For a fixed seed and bucket
-	// plan the results are bitwise identical to the synchronous path (the
-	// collectives execute in the same order with the same operands).
+	// Overlap posts each bucket's exchange to the communicator's progress
+	// worker as soon as the bucket is encoded, while the next (shallower)
+	// bucket is encoded, hiding synchronization behind local compute. For a
+	// fixed seed and bucket plan the results are bitwise identical to the
+	// synchronous path (the collectives execute in the same order with the
+	// same operands).
 	Overlap bool
 	// Concurrency is the number of comm tag-space contexts the overlap path
 	// may use (comm.SetConcurrency): 0 or 1 keeps the Deterministic mode —
@@ -155,11 +152,11 @@ type Config struct {
 	// a complete pre-planned synchronization schedule (typically plan.Build's
 	// output): explicit bucket boundaries, per-bucket algorithm specs, the
 	// topology width and the overlap flag. BucketBytes, Topology and Overlap
-	// must stay zero — the schedule carries them. When NewAlgorithm and
-	// NewBucketAlgorithm are both nil, each bucket's algorithm is built from
-	// Schedule.Specs with the canonical compress.BucketSeed derivation, so a
-	// schedule lowered from a legacy configuration (plan.Lower) reproduces
-	// that configuration's results bitwise.
+	// must stay zero — the schedule carries them. When NewBucketAlgorithm is
+	// nil, each bucket's algorithm is built from Schedule.Specs with the
+	// canonical compress.BucketSeed derivation, so a schedule lowered from a
+	// legacy configuration (plan.Lower) reproduces that configuration's
+	// results bitwise.
 	Schedule *plan.Schedule
 	// Epochs and StepsPerEpoch bound the run.
 	Epochs, StepsPerEpoch int
@@ -245,10 +242,9 @@ type Result struct {
 	// Cost components, averaged per training step (rank 0).
 	AvgComputeSec float64 // forward + backward
 	// AvgEncodeSec is the compression compute per step (Figure 2's
-	// quantity), summed across buckets. It is aggregate encode CPU time:
-	// when the overlap path encodes buckets on the parallel worker pool,
-	// the per-bucket durations overlap in wall time, so this can exceed
-	// the wall-clock encode window (and includes contention).
+	// quantity), summed across buckets. Buckets are encoded one after
+	// another on the rank's goroutine (interleaved runs encode inside the
+	// backward pass; that time is moved from compute to encode).
 	AvgEncodeSec float64
 	// AvgSyncSec is the wall time the step spent blocked on the collective:
 	// the full collective time on the synchronous path, only the *exposed*
@@ -260,18 +256,14 @@ type Result struct {
 
 	// Buckets is the gradient-pipeline bucket count (1 = whole model), and
 	// BucketBounds its cumulative offsets (len Buckets+1). Overlap records
-	// whether exchanges were pipelined with gather/encode, Concurrency the
-	// number of tag-space contexts they ran under (1 = deterministic),
-	// Interleave whether launches were folded into the backward pass, and
-	// DirectBuckets how many buckets were exchanged in place with no gather
-	// or scatter copy — since the strided-view pipeline, always equal to
-	// Buckets (the invariant the concurrency tests assert).
-	Buckets       int
-	BucketBounds  []int
-	Overlap       bool
-	Concurrency   int
-	Interleave    bool
-	DirectBuckets int
+	// whether exchanges were pipelined with encode, Concurrency the number
+	// of tag-space contexts they ran under (1 = deterministic), and
+	// Interleave whether launches were folded into the backward pass.
+	Buckets      int
+	BucketBounds []int
+	Overlap      bool
+	Concurrency  int
+	Interleave   bool
 	// Topology is the hierarchy width the run used (ranks per node after
 	// clamping; 0 = flat).
 	Topology int
@@ -459,8 +451,8 @@ func Train(c Config) (*Result, error) {
 			}
 		}
 	}
-	if cfg.NewAlgorithm == nil && cfg.NewBucketAlgorithm == nil && sched == nil {
-		return nil, fmt.Errorf("cluster: NewAlgorithm, NewBucketAlgorithm or a Schedule is required")
+	if cfg.NewBucketAlgorithm == nil && sched == nil {
+		return nil, fmt.Errorf("cluster: NewBucketAlgorithm or a Schedule is required")
 	}
 	// The schedule, when present, owns the pipeline knobs. Concurrency and
 	// Interleave are runtime-execution knobs, not schedule-carried plan
@@ -580,11 +572,6 @@ func Train(c Config) (*Result, error) {
 		}
 		infos := bucketInfos(bplan)
 		newBucketAlg := cfg.NewBucketAlgorithm
-		if newBucketAlg == nil && cfg.NewAlgorithm != nil {
-			newBucketAlg = func(rank int, info compress.BucketInfo) compress.Algorithm {
-				return cfg.NewAlgorithm(rank, info.Params)
-			}
-		}
 		if newBucketAlg == nil {
 			// Scheduled specs (validated above), with the canonical seed
 			// derivation the façade's policy path uses — what makes lowered
@@ -638,7 +625,6 @@ func Train(c Config) (*Result, error) {
 
 		sampleRNG := tensor.NewRNG(cfg.Seed*1000 + uint64(rank) + 1)
 		grad := make([]float32, n)
-		reqScratch := make([]comm.Request, 0, nb)
 		exchangeOps := make([]bucketExchangeOp, nb)
 
 		// Every bucket is direct: its view spans the layers' live gradient
@@ -650,73 +636,6 @@ func Train(c Config) (*Result, error) {
 		bucketView := make([]*tensor.VecView, nb)
 		for b := 0; b < nb; b++ {
 			bucketView[b] = model.GradView(bounds[b], bounds[b+1], &viewStore[b])
-		}
-
-		// encodeBucket checks bucket b's live gradient view is finite and
-		// encodes it in place, returning the payload and the encode duration.
-		// The serial loop, the parallel worker pool and the interleaved
-		// backward callbacks all run exactly this.
-		encodeBucket := func(b int) (compress.Payload, float64, error) {
-			bv := bucketView[b]
-			if bv.HasNaNOrInf() {
-				return compress.Payload{}, 0, fmt.Errorf("cluster: worker %d produced a non-finite gradient (diverged — lower the learning rate)", rank)
-			}
-			t1 := time.Now()
-			p := bucketed.EncodeBucketView(b, bv)
-			return p, time.Since(t1).Seconds(), nil
-		}
-
-		// postBucket fills bucket b's pooled op and posts its exchange.
-		postBucket := func(b int, p compress.Payload) comm.Request {
-			exchangeOps[b] = bucketExchangeOp{bk: bucketed, b: b, p: p, v: bucketView[b]}
-			return cm.Post(&exchangeOps[b])
-		}
-
-		// Parallel bucket encode (overlap path): a worker pool gathers and
-		// encodes buckets concurrently — every bucket owns its algorithm
-		// instance, scratch and RNG stream, so the encoded payloads are
-		// bitwise identical to serial encoding — while the step loop below
-		// enqueues each bucket's exchange in strict bucket order as soon as
-		// that bucket's encode lands. The collectives therefore launch in
-		// the same deterministic order with the same operands as the serial
-		// path (the bitwise-determinism tests cover both). The pool is
-		// sized by this process's share of the CPUs: in-process experiments
-		// run all cfg.Workers ranks in one process, so each rank claiming
-		// GOMAXPROCS workers would only oversubscribe.
-		encWorkers := 0
-		if overlap && !cfg.Interleave && nb > 1 {
-			if w := runtime.GOMAXPROCS(0) / cfg.Workers; w > 1 {
-				encWorkers = w
-				if encWorkers > nb {
-					encWorkers = nb
-				}
-			}
-		}
-		var (
-			encPayloads []compress.Payload
-			encDur      []float64
-			encErr      []error
-			encDone     []chan struct{}
-			encWork     chan int
-		)
-		if encWorkers > 0 {
-			encPayloads = make([]compress.Payload, nb)
-			encDur = make([]float64, nb)
-			encErr = make([]error, nb)
-			encDone = make([]chan struct{}, nb)
-			for b := range encDone {
-				encDone[b] = make(chan struct{}, 1)
-			}
-			encWork = make(chan int, nb)
-			for w := 0; w < encWorkers; w++ {
-				go func() {
-					for b := range encWork {
-						encPayloads[b], encDur[b], encErr[b] = encodeBucket(b)
-						encDone[b] <- struct{}{}
-					}
-				}()
-			}
-			defer close(encWork)
 		}
 
 		var evalSet models.Batch
@@ -761,6 +680,43 @@ func Train(c Config) (*Result, error) {
 		}
 		globalStep := startStep
 		steps := 0
+
+		// launch is the one routine that starts bucket exchanges. It
+		// checks, encodes in place and launches every bucket not yet
+		// launched this step whose range starts at or above lo, deepest
+		// first: posted to the progress workers with overlap, exchanged
+		// inline without. The interleaved backward pass calls it as each
+		// range becomes final, and every step calls launch(0) after
+		// backward for whatever is left. The first error stops launching;
+		// the step drains reqs and returns it. Built once per rank, so
+		// launching never allocates.
+		reqs := make([]comm.Request, 0, nb)
+		var next int // deepest bucket not yet launched this step
+		var launchErr error
+		launch := func(lo int) {
+			for launchErr == nil && next >= 0 && bounds[next] >= lo {
+				b, bv := next, bucketView[next]
+				next--
+				if bv.HasNaNOrInf() {
+					launchErr = fmt.Errorf("cluster: worker %d produced a non-finite gradient (diverged — lower the learning rate) (step %d)", rank, globalStep)
+					return
+				}
+				t1 := time.Now()
+				p := bucketed.EncodeBucketView(b, bv)
+				encodeSec += time.Since(t1).Seconds()
+				if overlap {
+					exchangeOps[b] = bucketExchangeOp{bk: bucketed, b: b, p: p, v: bv}
+					reqs = append(reqs, cm.Post(&exchangeOps[b]))
+					continue
+				}
+				t2 := time.Now()
+				if err := bucketed.ExchangeBucketView(b, p, bv, cm); err != nil {
+					launchErr = fmt.Errorf("cluster: step %d bucket %d sync: %w", globalStep, b, err)
+					return
+				}
+				syncSec += time.Since(t2).Seconds()
+			}
+		}
 
 		// captureState deep-copies this rank's full training state; the
 		// snapshot stays valid while the rank trains on.
@@ -865,117 +821,46 @@ func Train(c Config) (*Result, error) {
 				// on the step boundary. A no-op on plain transports.
 				cm.AdvanceStep()
 				model.ZeroGrads()
-				// Histogram steps take the post-backward launch path on
-				// EVERY rank (the capture needs the raw local gradient
-				// before any exchange rewrites it — exchanges reconstruct
-				// into the live storage the views alias — and the posting
-				// order must stay identical across ranks: concurrent
-				// contexts are assigned by posting sequence). Only rank 0
-				// actually gathers and captures.
+				// Histogram steps launch after backward on EVERY rank (the
+				// capture needs the raw local gradient before any exchange
+				// rewrites it — exchanges reconstruct into the live storage
+				// the views alias — and the posting order must stay
+				// identical across ranks: concurrent contexts are assigned
+				// by posting sequence). Only rank 0 actually captures.
 				histStep := histAt[globalStep]
-				reqs := reqScratch[:0]
+				reqs, next, launchErr = reqs[:0], nb-1, nil
 				t0 := time.Now()
 				var loss float64
 				if cfg.Interleave && !histStep {
-					// Backprop-interleaved launch: encode and post each
-					// bucket from inside the backward pass as soon as its
-					// gradient range is final, deepest buckets first. The
-					// exchange proceeds on the progress workers while the
-					// shallower layers are still back-propagating.
-					next := nb - 1
-					var encFail error
-					var inlineEnc float64
-					loss = model.StepInterleaved(batch, func(lo int) {
-						if encFail != nil {
-							return
-						}
-						for next >= 0 && bounds[next] >= lo {
-							p, dur, err := encodeBucket(next)
-							if err != nil {
-								encFail = err
-								return
-							}
-							inlineEnc += dur
-							reqs = append(reqs, postBucket(next, p))
-							next--
-						}
-					})
-					// The encode time spent inside the backward callbacks
-					// is compression cost, not model compute.
-					computeSec += time.Since(t0).Seconds() - inlineEnc
-					encodeSec += inlineEnc
-					lossSum += loss
-					if encFail != nil {
-						_ = comm.WaitAll(reqs) // drain in-flight buckets first
-						return fmt.Errorf("%w (step %d)", encFail, globalStep)
-					}
+					loss = model.StepInterleaved(batch, launch)
 				} else {
 					loss = model.Step(batch)
-					computeSec += time.Since(t0).Seconds()
-					lossSum += loss
-
-					// Figure-1 capture needs the raw local gradient in one
-					// piece, copied before any exchange reconstructs into
-					// the live storage.
-					if histStep && rank == 0 {
-						model.GatherGrads(grad)
-						h := stats.NewHistogram(-0.25, 0.25, 101)
-						h.AddSlice(grad)
-						hists = append(hists, h)
-					}
-
-					// Bucketed gradient pipeline: encode bucket b in place
-					// through its view and either run its collective inline
-					// (synchronous) or post it to the communicator's
-					// progress workers so it proceeds while bucket b+1 is
-					// encoded. With encode workers, encoding of all buckets
-					// fans out across the pool and the exchanges are still
-					// enqueued in bucket order as each encode completes.
-					if encWorkers > 0 {
-						for b := 0; b < nb; b++ {
-							encWork <- b
-						}
-						for b := 0; b < nb; b++ {
-							<-encDone[b]
-							if err := encErr[b]; err != nil {
-								encErr[b] = nil
-								for b2 := b + 1; b2 < nb; b2++ { // drain the step's remaining tokens
-									<-encDone[b2]
-								}
-								_ = comm.WaitAll(reqs) // drain in-flight buckets first
-								return fmt.Errorf("%w (step %d)", err, globalStep)
-							}
-							encodeSec += encDur[b]
-							reqs = append(reqs, postBucket(b, encPayloads[b]))
-						}
-					} else {
-						for b := 0; b < nb; b++ {
-							payload, dur, err := encodeBucket(b)
-							if err != nil {
-								_ = comm.WaitAll(reqs) // drain in-flight buckets first
-								return fmt.Errorf("%w (step %d)", err, globalStep)
-							}
-							encodeSec += dur
-							if overlap {
-								reqs = append(reqs, postBucket(b, payload))
-							} else {
-								t2 := time.Now()
-								if err := bucketed.ExchangeBucketView(b, payload, bucketView[b], cm); err != nil {
-									return fmt.Errorf("cluster: step %d bucket %d sync: %w", globalStep, b, err)
-								}
-								syncSec += time.Since(t2).Seconds()
-							}
-						}
-					}
 				}
-				if overlap {
-					t2 := time.Now()
-					if err := comm.WaitAll(reqs); err != nil {
-						return fmt.Errorf("cluster: step %d sync: %w", globalStep, err)
-					}
-					syncSec += time.Since(t2).Seconds()
-					reqScratch = reqs
+				// The encode time spent inside the backward callbacks is
+				// compression cost, not model compute.
+				computeSec += time.Since(t0).Seconds() - (encodeSec - encMark)
+				lossSum += loss
+
+				// Figure-1 capture needs the raw local gradient in one
+				// piece, copied before any exchange reconstructs into the
+				// live storage.
+				if histStep && rank == 0 {
+					model.GatherGrads(grad)
+					h := stats.NewHistogram(-0.25, 0.25, 101)
+					h.AddSlice(grad)
+					hists = append(hists, h)
 				}
+
+				launch(0)
+				t2 := time.Now()
+				waitErr := comm.WaitAll(reqs) // drain in-flight buckets, even on a launch error
+				if launchErr != nil {
+					return launchErr
+				}
+				if waitErr != nil {
+					return fmt.Errorf("cluster: step %d sync: %w", globalStep, waitErr)
+				}
+				syncSec += time.Since(t2).Seconds()
 				// Every exchange reconstructed in place through its bucket
 				// view — there is nothing to scatter back.
 				opt.Step(model.Params(), lr)
@@ -1029,7 +914,6 @@ func Train(c Config) (*Result, error) {
 			res.Overlap = overlap
 			res.Concurrency = cm.Concurrency()
 			res.Interleave = cfg.Interleave
-			res.DirectBuckets = nb
 			res.Topology = cm.Topology()
 			res.BucketPayloadBytes = bucketed.PayloadBytesPerBucket()
 			res.BucketExchangeKinds = bucketed.ExchangeKinds()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"a2sgd/internal/compress"
@@ -12,8 +13,9 @@ import (
 	"a2sgd/internal/nn"
 )
 
-func algoFactory(name string) func(rank, n int) compress.Algorithm {
-	return func(rank, n int) compress.Algorithm {
+func algoFactory(name string) func(rank int, info compress.BucketInfo) compress.Algorithm {
+	return func(rank int, info compress.BucketInfo) compress.Algorithm {
+		n := info.Params
 		o := compress.DefaultOptions(n)
 		o.Seed = uint64(rank + 1)
 		switch name {
@@ -48,20 +50,20 @@ func algoFactory(name string) func(rank, n int) compress.Algorithm {
 func quickCfg(family, algo string, workers int) Config {
 	return Config{
 		Workers: workers, Family: family,
-		NewAlgorithm:   algoFactory(algo),
-		Epochs:         3,
-		StepsPerEpoch:  8,
-		BatchPerWorker: 8,
-		Seed:           7,
-		Momentum:       0.9,
-		EvalBatch:      64,
+		NewBucketAlgorithm: algoFactory(algo),
+		Epochs:             3,
+		StepsPerEpoch:      8,
+		BatchPerWorker:     8,
+		Seed:               7,
+		Momentum:           0.9,
+		EvalBatch:          64,
 	}
 }
 
 func TestTrainRequiresAlgorithm(t *testing.T) {
 	_, err := Train(Config{Workers: 1, Family: "fnn3"})
 	if err == nil {
-		t.Fatal("expected error without NewAlgorithm")
+		t.Fatal("expected error without NewBucketAlgorithm or Schedule")
 	}
 }
 
@@ -243,15 +245,41 @@ func TestLSTMClusterRun(t *testing.T) {
 	}
 }
 
+// TestDivergenceDetection: failure injection through every launch mode. An
+// absurd learning-rate scale must surface as a "non-finite gradient" error
+// tagged with its step — not as silent Inf metrics, a hang or a panic —
+// whether the launcher exchanges inline, posts after backward or posts from
+// inside the backward pass, with one tag-space context or several.
 func TestDivergenceDetection(t *testing.T) {
-	// Failure injection: an absurd learning-rate scale must surface as an
-	// error ("non-finite gradient"), not as silent Inf metrics.
-	cfg := quickCfg("fnn3", "dense", 2)
-	cfg.LRScale = 1e9
-	cfg.Epochs = 30
-	_, err := Train(cfg)
-	if err == nil {
-		t.Fatal("expected divergence to be detected")
+	modes := []struct {
+		label               string
+		bucketBytes         int
+		overlap, interleave bool
+		concurrency         int
+	}{
+		{"sync-whole-model", 0, false, false, 0},
+		{"sync-bucketed", fourBucketBytes, false, false, 0},
+		{"overlap", fourBucketBytes, true, false, 0},
+		{"overlap-concurrent-4", fourBucketBytes, true, false, 4},
+		{"interleave", fourBucketBytes, true, true, 0},
+		{"interleave-concurrent-4", fourBucketBytes, true, true, 4},
+	}
+	for _, algo := range []string{"dense", "a2sgd"} {
+		for _, m := range modes {
+			cfg := bucketCfg(algo, 2, m.bucketBytes, m.overlap)
+			cfg.Interleave = m.interleave
+			cfg.Concurrency = m.concurrency
+			cfg.LRScale = 1e9
+			cfg.Epochs = 30
+			_, err := Train(cfg)
+			if err == nil {
+				t.Errorf("%s %s: expected divergence to be detected", algo, m.label)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "non-finite gradient") || !strings.Contains(msg, "(step ") {
+				t.Errorf("%s %s: error %q lacks the non-finite gradient report and its step", algo, m.label, msg)
+			}
+		}
 	}
 }
 

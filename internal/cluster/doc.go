@@ -7,15 +7,18 @@
 //
 // # Gradient pipeline
 //
-// Each step flows gather → bucket → encode → collective → decode → apply:
-// the flattened gradient is partitioned at layer granularity into buckets
-// of at most Config.BucketBytes (nn.PlanBuckets), every bucket owns a full
+// Each step flows backward → encode → collective → decode → apply: the
+// flattened gradient is partitioned at layer granularity into buckets of at
+// most Config.BucketBytes (nn.PlanBuckets), every bucket owns a full
 // algorithm instance (compress.Bucketed — per-bucket error feedback, seeds
-// and A2SGD means), and with Config.Overlap bucket i's collective runs on
-// the communicator's progress worker while bucket i+1 is still being
-// gathered and encoded. Overlapped runs are bitwise identical to
-// synchronous ones for a fixed seed and bucket plan, because the progress
-// worker executes the same collectives in the same order.
+// and A2SGD means) and is encoded from, and reconstructed into, a view of
+// the live layer gradients. One launcher starts every exchange, deepest
+// bucket first: after backward, or from inside it with Config.Interleave.
+// It runs each collective inline, or with Config.Overlap posts it to the
+// communicator's progress worker while the next bucket is encoded.
+// Overlapped and interleaved runs are bitwise identical to synchronous ones
+// for a fixed seed and bucket plan, because the collectives execute in the
+// same order with the same operands.
 //
 // # Topology
 //

@@ -29,7 +29,6 @@ func legacyPolicyCfg(t *testing.T, policy string, bucketBytes, topology int, ove
 		t.Fatal(err)
 	}
 	cfg := quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
 	cfg.BucketBytes = bucketBytes
 	cfg.Topology = topology
 	cfg.Overlap = overlap
@@ -72,7 +71,7 @@ func TestScheduleLoweringBitwiseIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := quickCfg("fnn3", "dense", 4)
-		cfg.NewAlgorithm = nil // cluster builds from Schedule.Specs
+		cfg.NewBucketAlgorithm = nil // cluster builds from Schedule.Specs
 		cfg.Schedule = plan.Lower(segs, pol, tc.bucket, tc.topology, tc.overlap, cfg.Workers)
 		lowered, err := Train(cfg)
 		if err != nil {
@@ -103,7 +102,7 @@ func TestAutoPlannedRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
+	cfg.NewBucketAlgorithm = nil
 	cfg.Schedule = sched
 	res, err := Train(cfg)
 	if err != nil {
@@ -145,14 +144,14 @@ func TestScheduleConfigValidation(t *testing.T) {
 	}
 	// Worker mismatch is rejected.
 	cfg = quickCfg("fnn3", "dense", 2)
-	cfg.NewAlgorithm = nil
+	cfg.NewBucketAlgorithm = nil
 	cfg.Schedule = sched // planned for 4
 	if _, err := Train(cfg); err == nil {
 		t.Error("expected worker-count mismatch error")
 	}
 	// A schedule whose bounds don't fit the model is rejected.
 	cfg = quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
+	cfg.NewBucketAlgorithm = nil
 	cfg.Schedule = &plan.Schedule{
 		Bounds: []int{0, 128}, Specs: []*compress.Spec{{Name: "dense"}},
 	}
@@ -161,7 +160,7 @@ func TestScheduleConfigValidation(t *testing.T) {
 	}
 	// An invalid spec in the schedule is rejected up front.
 	cfg = quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
+	cfg.NewBucketAlgorithm = nil
 	cfg.Schedule = &plan.Schedule{
 		Bounds: []int{0, 9178}, Specs: []*compress.Spec{{Name: "no-such"}},
 	}

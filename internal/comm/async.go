@@ -25,9 +25,7 @@ import (
 // never touches the allocator. The built-in collectives post as typed
 // operations (no closure); arbitrary communication work posts through the Op
 // interface, whose RunOp receives the context communicator the operation was
-// assigned to. The legacy closure form Async(f) still exists for
-// non-collective work; closures capture the parent communicator, so they are
-// always pinned to context 0 and keep their strict mutual order.
+// assigned to.
 //
 // Contract: all ranks must post the same sequence of operations with the
 // same concurrency setting, and the owner must not issue blocking
@@ -57,8 +55,7 @@ type Op interface {
 type opKind uint8
 
 const (
-	opFn opKind = iota // legacy closure, pinned to context 0
-	opCustom
+	opCustom opKind = iota
 	opAllreduceMean
 	opAllreduceSum
 	opAllgather
@@ -69,7 +66,6 @@ type asyncReq struct {
 	done chan struct{} // 1-buffered completion token, persists across reuse
 
 	kind opKind
-	fn   func() error
 	op   Op
 	v    []float32
 	out  []float32
@@ -94,8 +90,6 @@ func (r *asyncReq) Wait() error {
 // run executes the request's operation on the context communicator cc.
 func (r *asyncReq) run(cc *Communicator) error {
 	switch r.kind {
-	case opFn:
-		return r.fn()
 	case opCustom:
 		return r.op.RunOp(cc)
 	case opAllreduceMean:
@@ -153,7 +147,6 @@ func (c *Communicator) newReq() *asyncReq {
 // recycleReq clears the request's payload references and returns it to the
 // freelist.
 func (c *Communicator) recycleReq(r *asyncReq) {
-	r.fn = nil
 	r.op = nil
 	r.v = nil
 	r.out = nil
@@ -164,16 +157,16 @@ func (c *Communicator) recycleReq(r *asyncReq) {
 }
 
 // enqueue routes a request to a context queue and ensures its worker runs.
-// Typed operations are distributed round-robin by posting sequence (every
-// rank posts the same sequence, so every rank picks the same context for the
-// k-th operation); pinned requests (legacy closures) always take context 0.
-func (c *Communicator) enqueue(r *asyncReq, pinned bool) {
+// Operations are distributed round-robin by posting sequence (every rank
+// posts the same sequence, so every rank picks the same context for the k-th
+// operation).
+func (c *Communicator) enqueue(r *asyncReq) {
 	c.asyncMu.Lock()
 	if len(c.ctxQueues) == 0 {
 		c.initQueues(1)
 	}
 	k := 0
-	if !pinned && len(c.ctxQueues) > 1 {
+	if len(c.ctxQueues) > 1 {
 		k = int(c.postSeq % uint64(len(c.ctxQueues)))
 		c.postSeq++
 	}
@@ -228,21 +221,7 @@ func (c *Communicator) Post(op Op) Request {
 	r := c.newReq()
 	r.kind = opCustom
 	r.op = op
-	c.enqueue(r, false)
-	return r
-}
-
-// Async posts f for execution on the communicator's progress worker and
-// returns its Request. Closures capture the parent communicator, so they are
-// pinned to context 0 regardless of the concurrency setting: posted
-// functions run strictly in posting order relative to each other. New code
-// on the hot path should use Post (typed, pooled, context-distributed)
-// instead.
-func (c *Communicator) Async(f func() error) Request {
-	r := c.newReq()
-	r.kind = opFn
-	r.fn = f
-	c.enqueue(r, true)
+	c.enqueue(r)
 	return r
 }
 
@@ -254,7 +233,7 @@ func (c *Communicator) IAllreduceMean(v []float32, algo AllreduceAlgorithm) Requ
 	r.kind = opAllreduceMean
 	r.v = v
 	r.algo = algo
-	c.enqueue(r, false)
+	c.enqueue(r)
 	return r
 }
 
@@ -264,7 +243,7 @@ func (c *Communicator) IAllreduceSum(v []float32, algo AllreduceAlgorithm) Reque
 	r.kind = opAllreduceSum
 	r.v = v
 	r.algo = algo
-	c.enqueue(r, false)
+	c.enqueue(r)
 	return r
 }
 
@@ -275,7 +254,7 @@ func (c *Communicator) IAllgather(in, out []float32) Request {
 	r.kind = opAllgather
 	r.v = in
 	r.out = out
-	c.enqueue(r, false)
+	c.enqueue(r)
 	return r
 }
 

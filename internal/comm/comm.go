@@ -56,8 +56,8 @@ type Traffic struct {
 // collectives. The intended model is one Communicator per worker goroutine,
 // mirroring MPI: blocking collectives are not safe for concurrent use, but
 // the owner may overlap computation with communication through the
-// nonblocking operations (Async/IAllreduceMean/IAllgather), which execute
-// serially on the communicator's progress worker.
+// nonblocking operations (Post/IAllreduceMean/IAllgather), which execute on
+// the communicator's progress workers.
 type Communicator struct {
 	t         Transport
 	bytesSent atomic.Int64

@@ -141,38 +141,6 @@ func TestPostTypedOps(t *testing.T) {
 	}
 }
 
-// TestAsyncPinnedWithConcurrency: legacy closures are pinned to context 0
-// and keep their strict mutual order even when typed operations are being
-// distributed across contexts.
-func TestAsyncPinnedWithConcurrency(t *testing.T) {
-	err := RunGroup(2, func(c *Communicator) error {
-		if err := c.SetConcurrency(3); err != nil {
-			return err
-		}
-		order := make([]int, 0, 4)
-		reqs := make([]Request, 0, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			reqs = append(reqs, c.Async(func() error {
-				order = append(order, i) // safe: all closures run on context 0's worker
-				return nil
-			}))
-		}
-		if err := WaitAll(reqs); err != nil {
-			return err
-		}
-		for i, got := range order {
-			if got != i {
-				return fmt.Errorf("closure order %v", order)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSetConcurrencyResetsAcrossPhases: lowering the concurrency back to 1
 // restores the deterministic mode for subsequent phases.
 func TestSetConcurrencyResetsAcrossPhases(t *testing.T) {

@@ -20,14 +20,14 @@
 //
 // Every Communicator owns lazily-started progress workers (one goroutine per
 // tag-space context, mirroring MPI progress threads) that execute posted
-// operations: Post (a typed Op), Async (a legacy closure, pinned to context
-// 0), IAllreduceMean, IAllreduceSum and IAllgather return a Request whose
-// Wait blocks until completion. In the default Deterministic mode —
-// SetConcurrency(1) — a single worker runs operations strictly in posting
-// order, so the floating-point reduction order — and therefore the numerical
-// result — is identical to issuing the same operations synchronously; the
-// training runtime exploits this to overlap bucket i's collective with
-// bucket i+1's gather+encode while staying bitwise deterministic.
+// operations: Post (a typed Op), IAllreduceMean, IAllreduceSum and
+// IAllgather return a Request whose Wait blocks until completion. In the
+// default Deterministic mode — SetConcurrency(1) — a single worker runs
+// operations strictly in posting order, so the floating-point reduction
+// order — and therefore the numerical result — is identical to issuing the
+// same operations synchronously; the training runtime exploits this to
+// overlap one bucket's collective with the next bucket's encode while
+// staying bitwise deterministic.
 // SetConcurrency(n>1) adds n-1 shadow communicators in disjoint tag-space
 // contexts (the top four tag bits): posted operations are distributed to
 // contexts round-robin by posting sequence — deterministically, so every

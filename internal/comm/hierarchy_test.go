@@ -259,7 +259,7 @@ func TestHierarchicalBroadcast(t *testing.T) {
 }
 
 func TestHierarchicalNonblockingPipeline(t *testing.T) {
-	// The overlapped step loop posts collectives through Async; the
+	// The overlapped step loop posts collectives to the progress workers; the
 	// hierarchical schedules must compose with the progress worker.
 	const p, rpn, n = 6, 3, 256
 	want0 := hierMean(p, n)
