@@ -37,7 +37,6 @@ package a2sgd
 
 import (
 	"fmt"
-	"strconv"
 
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm"
@@ -48,6 +47,7 @@ import (
 	"a2sgd/internal/elastic"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
+	"a2sgd/internal/nn"
 	"a2sgd/internal/plan"
 )
 
@@ -188,13 +188,13 @@ type TrainConfig struct {
 	// Spec selects gradient synchronization as an algorithm spec string:
 	// "a2sgd", "topk(density=0.01)", "periodic(qsgd(levels=8), interval=4)".
 	// See Algorithms() / AlgorithmUsage(). Empty defaults to "a2sgd" unless
-	// Algorithm or Policy is set.
+	// Policy is set.
 	Spec string
 	// Policy selects gradient synchronization per bucket: "uniform(spec)",
 	// "mixed(big=a2sgd, small=dense, threshold=64KiB)" or
 	// "bylayer(pattern=spec, ..., default=spec)". Pair it with BucketBytes —
 	// with a single whole-model bucket every policy degenerates to the one
-	// spec it picks for bucket 0. Mutually exclusive with Spec/Algorithm.
+	// spec it picks for bucket 0. Mutually exclusive with Spec.
 	//
 	// "auto" (or "auto(spec, spec, ...)" with an explicit candidate list)
 	// hands the whole configuration to the cost-model planner instead:
@@ -203,11 +203,6 @@ type TrainConfig struct {
 	// (plan.Build), and the run uses the overlapped pipeline. BucketBytes
 	// and Topology, when set alongside "auto", pin those axes of the search.
 	Policy string
-	// Algorithm is the legacy spelling of Spec and keeps working (it also
-	// accepts full spec strings).
-	//
-	// Deprecated: use Spec.
-	Algorithm string
 	// Workers is the data-parallel width (default 1).
 	Workers int
 	// Epochs, StepsPerEpoch, BatchPerWorker bound the run (defaults 1/10/16).
@@ -216,14 +211,6 @@ type TrainConfig struct {
 	Seed uint64
 	// Momentum for the SGD optimizer (Table 1 runs use 0.9).
 	Momentum float32
-	// Density / QuantLevels override the paper defaults when non-zero. They
-	// lower onto the legacy Algorithm spec ("topk" + Density 0.01 builds
-	// exactly "topk(density=0.01)") and are rejected alongside Spec/Policy,
-	// which carry their parameters inline.
-	//
-	// Deprecated: write density= / levels= inside Spec.
-	Density     float64
-	QuantLevels int
 	// HistIters captures Figure-1 gradient histograms at these steps.
 	HistIters []int
 	// TCP runs the worker group over real loopback TCP sockets instead of
@@ -291,8 +278,8 @@ type TrainConfig struct {
 	// Schedule runs a pre-planned synchronization schedule (BuildSchedule's
 	// output) instead of the hand-tuned knobs: bucket boundaries, per-bucket
 	// specs, topology and overlap all come from the schedule, so Spec,
-	// Policy, Algorithm, Density, QuantLevels, BucketBytes, Overlap and
-	// Topology must stay unset.
+	// Policy, BucketBytes, Overlap and Topology must stay unset. It is used
+	// as-is: its Workers must match the run's (the snapshot's on resume).
 	Schedule *Schedule
 }
 
@@ -304,81 +291,61 @@ var allreduceByName = map[string]comm.AllreduceAlgorithm{
 	"recdouble": comm.AlgoRecursiveDoubling,
 }
 
-// lowerLegacy attaches the deprecated Density/QuantLevels overrides to the
-// root of a legacy Algorithm spec, when the root accepts the corresponding
-// parameter (algorithms that never used the knob keep ignoring it, as the
-// old flat config did). Explicit spec parameters win over the legacy
-// fields. FormatFloat(-1) round-trips exactly, so the lowered spec builds
-// the bit-identical algorithm the flat fields built.
-func lowerLegacy(s *compress.Spec, density float64, quantLevels int) {
-	b, ok := compress.LookupBuilder(s.Name)
-	if !ok {
-		return // CheckSpec reports the unknown name with the full usage list
-	}
-	accepts := func(name string) bool {
-		for _, p := range b.Params {
-			if p.Name == name {
-				return true
-			}
-		}
-		return false
-	}
-	if density > 0 && accepts("density") {
-		s.SetKeyed("density", strconv.FormatFloat(density, 'g', -1, 64))
-	}
-	if quantLevels > 0 && accepts("levels") {
-		s.SetKeyed("levels", strconv.Itoa(quantLevels))
-	}
-}
-
-// resolvePolicy turns the TrainConfig algorithm fields — Spec, Policy, or
-// the deprecated Algorithm/Density/QuantLevels — into one validated Policy.
+// resolvePolicy turns the Spec or Policy field into one validated Policy.
+// Every spec the policy can return is pre-built, so construction errors
+// (out-of-range parameters, unregistered names) surface here and not inside
+// the worker group — also for branches no bucket of this run reaches.
 func (tc TrainConfig) resolvePolicy() (compress.Policy, error) {
-	set := 0
-	for _, s := range []string{tc.Spec, tc.Policy, tc.Algorithm} {
-		if s != "" {
-			set++
-		}
+	if tc.Spec != "" && tc.Policy != "" {
+		return nil, fmt.Errorf("a2sgd: set at most one of Spec and Policy (got Spec=%q Policy=%q)", tc.Spec, tc.Policy)
 	}
-	if set > 1 {
-		return nil, fmt.Errorf("a2sgd: set at most one of Spec, Policy and Algorithm (got Spec=%q Policy=%q Algorithm=%q)",
-			tc.Spec, tc.Policy, tc.Algorithm)
-	}
-	legacyKnobs := tc.Density > 0 || tc.QuantLevels > 0
-	if tc.Policy != "" {
-		if legacyKnobs {
-			return nil, fmt.Errorf("a2sgd: Density/QuantLevels cannot combine with Policy — write density=/levels= inside the policy's specs")
-		}
-		return compress.ParsePolicy(tc.Policy)
-	}
-	if tc.Spec != "" && legacyKnobs {
-		return nil, fmt.Errorf("a2sgd: Density/QuantLevels cannot combine with Spec — write density=/levels= inside the spec")
-	}
-	src := tc.Spec
+	src := tc.Policy
 	if src == "" {
-		src = tc.Algorithm
+		src = tc.Spec
 	}
 	if src == "" {
 		src = "a2sgd"
 	}
-	spec, err := compress.Parse(src)
+	pol, err := compress.ParsePolicy(src)
 	if err != nil {
 		return nil, err
 	}
-	// The legacy knobs lower onto bare algorithm names only — the shape the
-	// old flat config could express. A parameterized or wrapped Algorithm
-	// spec carries its own parameters, and silently dropping the knobs
-	// there would train the wrong hyperparameters.
-	if legacyKnobs && len(spec.Args) > 0 {
-		return nil, fmt.Errorf("a2sgd: Density/QuantLevels only combine with a bare legacy Algorithm name, not %q — write density=/levels= inside the spec", src)
+	for _, s := range pol.Specs() {
+		if _, err := compress.Build(s, compress.DefaultOptions(4)); err != nil {
+			return nil, err
+		}
 	}
-	lowerLegacy(spec, tc.Density, tc.QuantLevels)
-	return compress.BuildPolicy(spec)
+	return pol, nil
+}
+
+// schedule resolves the configuration into the Schedule the cluster runs,
+// for the resolved world size (the snapshot's on resume): a given Schedule
+// as-is, the "auto" policy through the planner, and everything else lowered
+// from Spec/Policy + BucketBytes/Topology/Overlap by plan.Lower.
+func (tc TrainConfig) schedule(workers int) (*Schedule, error) {
+	if tc.Schedule != nil {
+		if tc.Spec != "" || tc.Policy != "" || tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
+			return nil, fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/BucketBytes/Overlap/Topology unset")
+		}
+		return tc.Schedule, nil
+	}
+	pol, err := tc.resolvePolicy()
+	if err != nil {
+		return nil, err
+	}
+	if ap, isAuto := pol.(*compress.AutoPolicy); isAuto {
+		return autoSchedule(tc, ap, workers)
+	}
+	segs, err := familySegments(tc.Family)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Lower(segs, pol, tc.BucketBytes, tc.Topology, tc.Overlap, workers), nil
 }
 
 // Train runs data-parallel training with the configured algorithm spec,
 // per-bucket policy or pre-planned schedule and returns rank 0's view of
-// the run.
+// the run. Every configuration runs as a Schedule.
 func Train(tc TrainConfig) (*Result, error) {
 	if tc.Seed == 0 {
 		tc.Seed = 1
@@ -387,64 +354,38 @@ func Train(tc TrainConfig) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("a2sgd: unknown allreduce %q (have auto, ring, recdouble)", tc.Allreduce)
 	}
-	if tc.Schedule != nil {
-		if tc.Spec != "" || tc.Policy != "" || tc.Algorithm != "" || tc.Density > 0 || tc.QuantLevels > 0 ||
-			tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
-			return nil, fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/Algorithm/Density/QuantLevels/BucketBytes/Overlap/Topology unset")
-		}
-		return trainSchedule(tc, tc.Schedule, allreduce)
-	}
-	pol, err := tc.resolvePolicy()
-	if err != nil {
-		return nil, err
-	}
-	// The auto policy is the planner's front door: derive the full schedule
-	// from the netsim price and run that instead of the flat knobs.
-	if ap, isAuto := pol.(*compress.AutoPolicy); isAuto {
-		sched, err := autoSchedule(tc, ap)
-		if err != nil {
-			return nil, err
-		}
-		return trainSchedule(tc, sched, allreduce)
-	}
-	// Pre-build every spec the policy can return, so construction errors
-	// (out-of-range parameters, unregistered names) surface here and not
-	// inside the worker group.
-	for _, s := range pol.Specs() {
-		if _, err := compress.Build(s, compress.DefaultOptions(4)); err != nil {
-			return nil, err
-		}
-	}
 	cfg, err := clusterConfig(tc)
 	if err != nil {
 		return nil, err
 	}
-	cfg.BucketBytes = tc.BucketBytes
-	cfg.Overlap = tc.Overlap
-	cfg.Topology = tc.Topology
-	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-		o := compress.DefaultOptions(info.Params)
-		// compress.BucketSeed: bucket 0 keeps the historical per-rank seed
-		// so the default single-bucket run reproduces pre-bucketing results
-		// exactly; later buckets decorrelate their stochastic RNG.
-		o.Seed = compress.BucketSeed(tc.Seed, rank, info.Index)
-		o.Allreduce = allreduce
-		a, err := compress.Build(pol.SpecFor(info), o)
-		if err != nil {
-			// Every reachable spec was pre-built above.
-			panic(fmt.Sprintf("a2sgd: pre-validated spec failed to build: %v", err))
-		}
-		return a
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = 1
 	}
-	res, err := cluster.Train(cfg)
+	sched, err := tc.schedule(workers)
 	if err != nil {
 		return nil, err
 	}
-	res.Policy = pol.Name()
-	return res, nil
+	cfg.Schedule = sched
+	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
+		o := compress.DefaultOptions(info.Params)
+		// compress.BucketSeed: bucket 0 keeps the historical per-rank seed
+		// so a single-bucket run reproduces pre-bucketing results exactly;
+		// later buckets decorrelate their stochastic RNG.
+		o.Seed = compress.BucketSeed(tc.Seed, rank, info.Index)
+		o.Allreduce = allreduce
+		a, err := compress.Build(sched.Specs[info.Index], o)
+		if err != nil {
+			// cluster.Train pre-validates every scheduled spec.
+			panic(fmt.Sprintf("a2sgd: pre-validated schedule spec failed to build: %v", err))
+		}
+		return a
+	}
+	return cluster.Train(cfg)
 }
 
-// clusterConfig copies the schedule-independent TrainConfig fields.
+// clusterConfig copies the schedule-independent TrainConfig fields and
+// resolves the world size: the snapshot's when ResumePath is set.
 func clusterConfig(tc TrainConfig) (cluster.Config, error) {
 	cfg := cluster.Config{
 		Workers:        tc.Workers,
@@ -485,41 +426,12 @@ func clusterConfig(tc TrainConfig) (cluster.Config, error) {
 	return cfg, nil
 }
 
-// trainSchedule runs a pre-planned schedule: the cluster consumes its
-// bounds/topology/overlap, and each bucket's algorithm is built from the
-// scheduled spec with the same canonical seed derivation the policy path
-// uses — which is what makes a schedule lowered from legacy knobs
-// (plan.Lower) reproduce the flat configuration bitwise.
-func trainSchedule(tc TrainConfig, sched *Schedule, allreduce comm.AllreduceAlgorithm) (*Result, error) {
-	cfg, err := clusterConfig(tc)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Schedule = sched
-	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-		o := compress.DefaultOptions(info.Params)
-		o.Seed = compress.BucketSeed(tc.Seed, rank, info.Index)
-		o.Allreduce = allreduce
-		a, err := compress.Build(sched.Specs[info.Index], o)
-		if err != nil {
-			// cluster.Train pre-validates every scheduled spec.
-			panic(fmt.Sprintf("a2sgd: pre-validated schedule spec failed to build: %v", err))
-		}
-		return a
-	}
-	return cluster.Train(cfg)
-}
-
 // autoSchedule plans the schedule the "auto" policy stands for: the run's
 // worker count, the auto candidates, and the default IB100 price law —
 // switching to the hierarchical TwoTierIB100 pair when Topology pins a
 // width. BucketBytes, when set, pins the bucket-budget axis. Auto runs
 // always use the overlapped pipeline (that is the makespan being minimized).
-func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy) (*Schedule, error) {
-	workers := tc.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy, workers int) (*Schedule, error) {
 	o := plan.Options{Workers: workers, Pricer: netsim.IB100()}
 	if tc.Topology > 1 {
 		o.Pricer = netsim.TwoTierIB100(tc.Topology)
@@ -534,17 +446,27 @@ func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy) (*Schedule, error) {
 	return BuildSchedule(tc.Family, o)
 }
 
+// familySegments derives a model family's parameter segments at reduced
+// scale — the layout both the planner and the lowering cut buckets from.
+func familySegments(family string) ([]nn.Segment, error) {
+	m, err := models.New(models.Config{Family: family, Seed: 1, Reduced: true})
+	if err != nil {
+		return nil, err
+	}
+	return m.ParamSegments(), nil
+}
+
 // BuildSchedule runs the cost-model planner for a model family: it derives
 // the family's parameter segments at reduced scale and asks plan.Build for
 // the cheapest modelled schedule — bucket boundaries sized against the
 // priced tier, per-bucket specs minimizing the pipelined makespan, and (for
 // TwoTier pricers) the cheapest ranks-per-node width.
 func BuildSchedule(family string, o PlanOptions) (*Schedule, error) {
-	m, err := models.New(models.Config{Family: family, Seed: 1, Reduced: true})
+	segs, err := familySegments(family)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Build(m.ParamSegments(), o)
+	return plan.Build(segs, o)
 }
 
 // Families lists the evaluation model families (Table 1).

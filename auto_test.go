@@ -1,6 +1,7 @@
 package a2sgd
 
 import (
+	"path/filepath"
 	"testing"
 
 	"a2sgd/internal/models"
@@ -130,11 +131,9 @@ func TestTrainScheduleConflicts(t *testing.T) {
 	for _, mutate := range []func(*TrainConfig){
 		func(tc *TrainConfig) { tc.Spec = "a2sgd" },
 		func(tc *TrainConfig) { tc.Policy = "uniform(dense)" },
-		func(tc *TrainConfig) { tc.Algorithm = "dense" },
 		func(tc *TrainConfig) { tc.BucketBytes = 4096 },
 		func(tc *TrainConfig) { tc.Overlap = true },
 		func(tc *TrainConfig) { tc.Topology = 2 },
-		func(tc *TrainConfig) { tc.Density = 0.01 },
 	} {
 		tc := base
 		mutate(&tc)
@@ -173,5 +172,45 @@ func TestAutoPolicyPinsRespected(t *testing.T) {
 func TestBuildScheduleUnknownFamily(t *testing.T) {
 	if _, err := BuildSchedule("nope", PlanOptions{Workers: 2, Pricer: IB100()}); err == nil {
 		t.Fatal("expected unknown-family error")
+	}
+}
+
+// TestResumeLowersForSnapshotWorld: with ResumePath set and Workers unset,
+// the snapshot's world size wins, so the auto planner and the lowering must
+// both run for that world. Each resumed run continues a mid-run snapshot to
+// the uninterrupted run's epochs, bitwise.
+func TestResumeLowersForSnapshotWorld(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*TrainConfig)
+	}{
+		{"auto", func(tc *TrainConfig) { tc.Policy = "auto(dense, a2sgd)" }},
+		{"spec+buckets", func(tc *TrainConfig) { tc.Spec = "topk(density=0.05)"; tc.BucketBytes = 8192 }},
+	} {
+		path := filepath.Join(t.TempDir(), "run.snap")
+		full := TrainConfig{
+			Family: "fnn3", Workers: 2,
+			Epochs: 2, StepsPerEpoch: 4, BatchPerWorker: 8, Seed: 5, Momentum: 0.9,
+			// Boundaries at steps 3 and 6 of 8: the file ends up holding
+			// the step-6 snapshot, two steps before the end.
+			CheckpointEvery: 3, SnapshotPath: path,
+		}
+		c.set(&full)
+		want, err := Train(full)
+		if err != nil {
+			t.Fatalf("%s uninterrupted: %v", c.name, err)
+		}
+		resumed := full
+		resumed.Workers = 0
+		resumed.SnapshotPath = ""
+		resumed.ResumePath = path
+		got, err := Train(resumed)
+		if err != nil {
+			t.Fatalf("%s resumed: %v", c.name, err)
+		}
+		if got.Workers != 2 {
+			t.Errorf("%s: resumed on %d workers, snapshot holds 2", c.name, got.Workers)
+		}
+		epochsEqual(t, c.name+" resume", want, got)
 	}
 }

@@ -130,19 +130,11 @@ func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool,
 		if js.BucketBytes != 0 {
 			return nil, fmt.Errorf("job %s: replan derives the bucket plan — leave bucket_bytes unset", js.Name)
 		}
-		// The planner owns bucket boundaries and per-bucket specs; cur tracks
-		// the current epoch's schedule so rescheduled segments build the
-		// specs the supervisor just planned.
-		var mu sync.Mutex
-		var cur *plan.Schedule
+		// The planner owns bucket boundaries and per-bucket specs. With no
+		// factory installed, cluster.Train builds every bucket from the
+		// schedule elastic.Job hands each segment.
 		job.Replan = func(world int) (*plan.Schedule, error) {
-			s, err := a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: a2sgd.IB100()})
-			if err == nil {
-				mu.Lock()
-				cur = s
-				mu.Unlock()
-			}
-			return s, err
+			return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: a2sgd.IB100()})
 		}
 		if js.DriftReplan {
 			// After a drift event the planner prices on the fabric the
@@ -150,26 +142,8 @@ func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool,
 			job.DriftReplan = true
 			job.DriftModel = a2sgd.IB100()
 			job.ReplanMeasured = func(world int, measured netsim.Fabric) (*plan.Schedule, error) {
-				s, err := a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: measured})
-				if err == nil {
-					mu.Lock()
-					cur = s
-					mu.Unlock()
-				}
-				return s, err
+				return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: measured})
 			}
-		}
-		cc.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-			mu.Lock()
-			s := cur
-			mu.Unlock()
-			o := compress.DefaultOptions(info.Params)
-			o.Seed = compress.BucketSeed(js.Seed, rank, info.Index)
-			a, err := compress.Build(s.Specs[info.Index], o)
-			if err != nil {
-				panic(fmt.Sprintf("a2sgdserve: planned spec failed to build: %v", err))
-			}
-			return a
 		}
 	} else {
 		cc.BucketBytes = js.BucketBytes

@@ -2,7 +2,8 @@
 // the per-epoch metric curve plus the synchronization cost breakdown.
 //
 // -algo accepts any registered algorithm spec, including parameters and
-// wrappers; -policy switches to a per-bucket policy (pair it with
+// wrappers (sparsifier density and quantization levels go inside it:
+// "topk(density=0.01)", "qsgd(levels=8)"); -policy switches to a per-bucket policy (pair it with
 // -bucket-bytes so there is more than one bucket to mix over); -auto hands
 // the whole configuration — bucket boundaries, per-bucket specs, topology —
 // to the cost-model planner, priced on the -fabric network model.
@@ -49,7 +50,7 @@ func pricerByName(name string, width int) (a2sgd.Pricer, error) {
 func main() {
 	family := flag.String("family", "fnn3", "model family: fnn3|vgg16|resnet20|lstm")
 	algo := flag.String("algo", "a2sgd",
-		"algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", "))
+		"algorithm spec, parameters inline (e.g. topk(density=0.01)) — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", "))
 	policy := flag.String("policy", "",
 		"per-bucket policy spec (overrides -algo) — "+strings.Join(a2sgd.PolicyUsage(), ", "))
 	workers := flag.Int("workers", 4, "data-parallel worker count")
@@ -58,7 +59,6 @@ func main() {
 	batch := flag.Int("batch", 16, "batch size per worker")
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	momentum := flag.Float64("momentum", 0.9, "SGD momentum")
-	density := flag.Float64("density", 0, "sparsifier density override (0 = paper default 0.001; prefer density= in -algo)")
 	transport := flag.String("transport", "inproc", "worker fabric: inproc|tcp")
 	faults := flag.String("faults", "",
 		"fault-injection scenario, e.g. 'delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)' — rules: "+
@@ -109,17 +109,13 @@ func main() {
 			sched.PipelinedSyncSec*1000, sched.SerialSyncSec*1000)
 		tc.Schedule = sched
 	} else {
-		// Density always passes through, so -density alongside -policy (or a
-		// parameterized -algo spec) hits the façade's conflict error instead
-		// of silently training the default.
-		tc.Density = *density
 		tc.BucketBytes = *bucketBytes
 		tc.Overlap = *overlap
 		tc.Topology = *topology
 		if *policy != "" {
 			tc.Policy = *policy
 		} else {
-			tc.Algorithm = *algo
+			tc.Spec = *algo
 		}
 	}
 

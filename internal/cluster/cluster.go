@@ -106,8 +106,11 @@ type Config struct {
 	// per-bucket stochastic seeds can differ), element count (info.Params;
 	// the model's NumParams for a single whole-model bucket), raw byte size
 	// and covered layer names — which is what a per-bucket policy (the
-	// compress.Policy layer) keys its spec choice on. Nil requires a
-	// Schedule, whose specs then build every bucket.
+	// compress.Policy layer) keys its spec choice on. With a Schedule, a
+	// non-nil factory must build Schedule.Specs[info.Index] (it may wrap or
+	// configure it, e.g. pick the allreduce algorithm); nil lets Train build
+	// every bucket from the schedule itself. Without a Schedule it is
+	// required.
 	NewBucketAlgorithm func(rank int, info compress.BucketInfo) compress.Algorithm
 	// BucketBytes partitions the flattened gradient into layer-granular
 	// buckets of at most this many bytes (nn.PlanBuckets); each bucket gets
@@ -149,14 +152,15 @@ type Config struct {
 	// they are fully deterministic.
 	Topology int
 	// Schedule, when non-nil, replaces the three hand-tuned knobs above with
-	// a complete pre-planned synchronization schedule (typically plan.Build's
+	// a complete synchronization schedule (plan.Build's or plan.Lower's
 	// output): explicit bucket boundaries, per-bucket algorithm specs, the
 	// topology width and the overlap flag. BucketBytes, Topology and Overlap
 	// must stay zero — the schedule carries them. When NewBucketAlgorithm is
 	// nil, each bucket's algorithm is built from Schedule.Specs with the
-	// canonical compress.BucketSeed derivation, so a schedule lowered from a
-	// legacy configuration (plan.Lower) reproduces that configuration's
-	// results bitwise.
+	// canonical compress.BucketSeed derivation, so a schedule lowered from
+	// the knobs (plan.Lower) reproduces the knob-driven run bitwise. The a2sgd
+	// façade always runs a Schedule; the knobs stay for callers that drive
+	// cluster directly with their own per-bucket factory.
 	Schedule *plan.Schedule
 	// Epochs and StepsPerEpoch bound the run.
 	Epochs, StepsPerEpoch int
@@ -388,21 +392,6 @@ func (o *bucketExchangeOp) RunOp(c *comm.Communicator) error {
 	return o.bk.ExchangeBucketView(o.b, o.p, o.v, c)
 }
 
-// bucketInfos derives each bucket's policy-facing metadata from the plan.
-func bucketInfos(plan nn.BucketPlan) []compress.BucketInfo {
-	infos := make([]compress.BucketInfo, len(plan.Buckets))
-	for b, bk := range plan.Buckets {
-		layers := make([]string, len(bk.Segments))
-		for i, sg := range bk.Segments {
-			layers[i] = sg.Name
-		}
-		infos[b] = compress.BucketInfo{
-			Index: b, Params: bk.Len, Bytes: int64(4 * bk.Len), Layers: layers,
-		}
-	}
-	return infos
-}
-
 func (c *Config) defaults() Config {
 	cfg := *c
 	if cfg.Membership != nil {
@@ -570,12 +559,12 @@ func Train(c Config) (*Result, error) {
 		} else {
 			bplan = nn.PlanBuckets(model.ParamSegments(), cfg.BucketBytes)
 		}
-		infos := bucketInfos(bplan)
+		infos := plan.BucketInfos(bplan)
 		newBucketAlg := cfg.NewBucketAlgorithm
 		if newBucketAlg == nil {
 			// Scheduled specs (validated above), with the canonical seed
-			// derivation the façade's policy path uses — what makes lowered
-			// schedules reproduce their legacy configurations bitwise.
+			// derivation — what makes lowered schedules reproduce the
+			// knob-driven runs bitwise.
 			newBucketAlg = func(rank int, info compress.BucketInfo) compress.Algorithm {
 				o := compress.DefaultOptions(info.Params)
 				o.Seed = compress.BucketSeed(cfg.Seed, rank, info.Index)
@@ -907,7 +896,7 @@ func Train(c Config) (*Result, error) {
 			res.AvgEncodeSec = encodeSec / float64(steps)
 			res.AvgSyncSec = syncSec / float64(steps)
 			res.AvgStepSec = stepSec / float64(steps)
-			res.PayloadBytes = bucketed.PayloadBytes(n)
+			res.PayloadBytes = bucketed.PayloadBytes()
 			res.ExchangeKind = bucketed.ExchangeKind()
 			res.Buckets = nb
 			res.BucketBounds = append([]int(nil), bounds...)

@@ -8,8 +8,9 @@
 // # Gradient pipeline
 //
 // Each step flows backward → encode → collective → decode → apply: the
-// flattened gradient is partitioned at layer granularity into buckets of at
-// most Config.BucketBytes (nn.PlanBuckets), every bucket owns a full
+// flattened gradient is partitioned at layer granularity into buckets — at
+// Config.Schedule's bounds, or of at most Config.BucketBytes
+// (nn.PlanBuckets) when no schedule is given — every bucket owns a full
 // algorithm instance (compress.Bucketed — per-bucket error feedback, seeds
 // and A2SGD means) and is encoded from, and reconstructed into, a view of
 // the live layer gradients. One launcher starts every exchange, deepest

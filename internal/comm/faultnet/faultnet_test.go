@@ -13,21 +13,24 @@ import (
 	"a2sgd/internal/comm"
 )
 
+// scenarioRoundTripCases cover every rule kind's canonical form; they also
+// seed FuzzScenarioRoundTrip.
+var scenarioRoundTripCases = []string{
+	"delay(link=0-1, alpha=200µs, beta=1ns/B)",
+	"delay(link=*, alpha=50µs, jitter=200µs)",
+	"seed(42) bw(link=2-*, mbps=400)",
+	"loss(link=*, p=0.05, resend=2ms) dup(link=*, p=0.2)",
+	"reorder(link=0-1, p=0.3) straggler(rank=2, x=3)",
+	"degrade(rank=2, after=4, factor=3, ramp=4)",
+	"straggler(rank=1, x=2) degrade(rank=3, after=0, factor=8, ramp=0)",
+	"deadline(500ms) crash(rank=3, step=5)",
+	"deadline(400ms) stall(rank=1, step=2)",
+	"retry(attempts=6, backoff=2ms, max=20ms) flap(rank=1, period=40ms, duty=0.8)",
+	"partition(groups=0-1|2-3, after=30ms, dur=25ms)",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"delay(link=0-1, alpha=200µs, beta=1ns/B)",
-		"delay(link=*, alpha=50µs, jitter=200µs)",
-		"seed(42) bw(link=2-*, mbps=400)",
-		"loss(link=*, p=0.05, resend=2ms) dup(link=*, p=0.2)",
-		"reorder(link=0-1, p=0.3) straggler(rank=2, x=3)",
-		"degrade(rank=2, after=4, factor=3, ramp=4)",
-		"straggler(rank=1, x=2) degrade(rank=3, after=0, factor=8, ramp=0)",
-		"deadline(500ms) crash(rank=3, step=5)",
-		"deadline(400ms) stall(rank=1, step=2)",
-		"retry(attempts=6, backoff=2ms, max=20ms) flap(rank=1, period=40ms, duty=0.8)",
-		"partition(groups=0-1|2-3, after=30ms, dur=25ms)",
-	}
-	for _, src := range cases {
+	for _, src := range scenarioRoundTripCases {
 		sc, err := Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)

@@ -6,10 +6,22 @@ import (
 	"a2sgd/internal/comm"
 )
 
+// syncBuckets encodes and exchanges every bucket of g in order through the
+// per-bucket surface, the way the training runtime's synchronous step does.
+func syncBuckets(bk *Bucketed, g []float32, c *comm.Communicator) error {
+	for b := 0; b < bk.NumBuckets(); b++ {
+		gb := bk.BucketSlice(b, g)
+		if err := bk.ExchangeBucket(b, bk.EncodeBucket(b, gb), gb, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestBucketedDenseMatchesWholeVector: per-bucket dense allreduce with
 // recursive doubling is bitwise identical to the whole-vector allreduce
 // (every element sees the same partner-addition order regardless of vector
-// length), so the bucketed wrapper must reproduce the dense baseline exactly.
+// length), so the bucketed composer must reproduce the dense baseline exactly.
 func TestBucketedDenseMatchesWholeVector(t *testing.T) {
 	const p, n = 4, 1000
 	bounds := []int{0, 130, 500, 730, n}
@@ -41,8 +53,7 @@ func TestBucketedDenseMatchesWholeVector(t *testing.T) {
 		bk := NewBucketed(bounds, func(b, bn int) Algorithm {
 			return NewDense(Options{N: bn, Allreduce: comm.AlgoRecursiveDoubling})
 		})
-		pl := bk.Encode(g)
-		if err := bk.Exchange(pl, g, c); err != nil {
+		if err := syncBuckets(bk, g, c); err != nil {
 			return err
 		}
 		for i := range g {
@@ -71,20 +82,18 @@ func TestBucketedAccountingAggregates(t *testing.T) {
 	for _, b := range per {
 		sum += b
 	}
-	if got := bk.PayloadBytes(100); got != sum {
+	if got := bk.PayloadBytes(); got != sum {
 		t.Fatalf("PayloadBytes %d != per-bucket sum %d", got, sum)
 	}
+	// Each bucket's encoded bits match its analytic payload.
 	g := make([]float32, 100)
 	for i := range g {
 		g[i] = float32(i%7) - 3
 	}
-	pl := bk.Encode(g)
-	var bits int64
 	for b := 0; b < 3; b++ {
-		bits += bk.EncodeBucket(b, bk.BucketSlice(b, g)).Bits
-	}
-	if pl.Bits != bits {
-		t.Fatalf("aggregate bits %d != per-bucket sum %d", pl.Bits, bits)
+		if bits := bk.EncodeBucket(b, bk.BucketSlice(b, g)).Bits; bits != 8*per[b] {
+			t.Fatalf("bucket %d: %d bits encoded, analytic payload %d B", b, bits, per[b])
+		}
 	}
 	if name := bk.Name(); name != "qsgd+bucketed[3]" {
 		t.Fatalf("name %q", name)
@@ -114,8 +123,7 @@ func TestBucketedSparsifierRoundTrip(t *testing.T) {
 		bk := NewBucketed(bounds, func(b, bn int) Algorithm {
 			return NewTopK(Options{N: bn, Density: 0.05})
 		})
-		pl := bk.Encode(g)
-		if err := bk.Exchange(pl, g, c); err != nil {
+		if err := syncBuckets(bk, g, c); err != nil {
 			return err
 		}
 		results[c.Rank()] = g

@@ -102,9 +102,9 @@ func sampledCost(s *Spec, o Options) (CostModel, error) {
 // uses when it constructs algorithms from specs: bucket 0 keeps the
 // historical per-rank seed (so single-bucket runs reproduce pre-bucketing
 // results exactly) and later buckets decorrelate their stochastic streams.
-// The façade's legacy policy path and the schedule path share this one
-// formula, which is what makes a lowered schedule bitwise-identical to the
-// flat config it came from.
+// The façade, the cluster's schedule-built buckets and direct cluster
+// callers share this one formula, which is what makes a lowered schedule
+// bitwise-identical to the same knobs driven through cluster.Config.
 func BucketSeed(seed uint64, rank, bucket int) uint64 {
 	return seed*31 + uint64(rank) + 1 + uint64(bucket)*1_000_003
 }

@@ -106,7 +106,8 @@
 // the gradient (the unit of the training runtime's overlapped pipeline) —
 // under a mixing policy its buckets run different algorithms, and
 // ExchangeKinds reports each bucket's collective for the netsim price
-// laws. Periodic wraps any algorithm with round reduction (synchronize
-// every k-th step). Both implement Algorithm themselves, so compositions
-// nest.
+// laws. Its buckets are driven one at a time (EncodeBucket/ExchangeBucket
+// and their view forms); it is not itself an Algorithm. Periodic wraps any
+// algorithm with round reduction (synchronize every k-th step) and does
+// implement Algorithm, so it nests inside other specs.
 package compress

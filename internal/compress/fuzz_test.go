@@ -100,3 +100,28 @@ func FuzzEliasGammaStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSpecRoundTrip: the spec grammar is hostile input (flags, job files,
+// config strings). Whatever Parse accepts must render to a canonical form
+// that reparses to itself, and ParsePolicy must return an error, never
+// panic.
+func FuzzSpecRoundTrip(f *testing.F) {
+	for _, c := range specRoundTripCases {
+		f.Add(c.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = ParsePolicy(src)
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		s2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, canonical %q rejected: %v", src, canon, err)
+		}
+		if got := s2.String(); got != canon {
+			t.Fatalf("Parse(%q): canonical %q reformats to %q", src, canon, got)
+		}
+	})
+}

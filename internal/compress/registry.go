@@ -105,9 +105,10 @@ type Builder struct {
 	// Options) and handed to Build via BuildArgs.Inner.
 	Wraps int
 	// Build constructs the algorithm. Options carries the runtime-owned
-	// tunables (N, Seed, Allreduce, and the legacy Density/QuantLevels
-	// defaults); spec parameters arrive in args and take precedence. Build
-	// may reject out-of-range values.
+	// tunables (N, Seed, Allreduce) and the paper-default Density/QuantLevels
+	// that a spec without density=/levels= builds with; spec parameters
+	// arrive in args and take precedence. Build may reject out-of-range
+	// values.
 	Build func(o Options, args BuildArgs) (Algorithm, error)
 	// Cost, when non-nil, estimates the algorithm's planning costs (encode
 	// time, payload, collective) for the given parameters without building

@@ -5,22 +5,25 @@ import (
 	"testing"
 )
 
+// specRoundTripCases are spec sources with their canonical forms; they also
+// seed FuzzSpecRoundTrip.
+var specRoundTripCases = []struct {
+	src  string
+	want string // canonical form
+}{
+	{"dense", "dense"},
+	{"topk(density=0.01)", "topk(density=0.01)"},
+	{"  topk( density = 0.01 )", "topk(density=0.01)"},
+	{"qsgd(levels=8)", "qsgd(levels=8)"},
+	{"periodic(dense, interval=4)", "periodic(dense, interval=4)"},
+	{"periodic(qsgd(levels=8), interval=4)", "periodic(qsgd(levels=8), interval=4)"},
+	{"mixed(big=a2sgd, small=dense, threshold=64KiB)", "mixed(big=a2sgd, small=dense, threshold=64KiB)"},
+	{"bylayer(fc1=topk(density=0.05), default=dense)", "bylayer(fc1=topk(density=0.05), default=dense)"},
+	{"dense()", "dense"},
+}
+
 func TestParseFormatRoundTrip(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string // canonical form
-	}{
-		{"dense", "dense"},
-		{"topk(density=0.01)", "topk(density=0.01)"},
-		{"  topk( density = 0.01 )", "topk(density=0.01)"},
-		{"qsgd(levels=8)", "qsgd(levels=8)"},
-		{"periodic(dense, interval=4)", "periodic(dense, interval=4)"},
-		{"periodic(qsgd(levels=8), interval=4)", "periodic(qsgd(levels=8), interval=4)"},
-		{"mixed(big=a2sgd, small=dense, threshold=64KiB)", "mixed(big=a2sgd, small=dense, threshold=64KiB)"},
-		{"bylayer(fc1=topk(density=0.05), default=dense)", "bylayer(fc1=topk(density=0.05), default=dense)"},
-		{"dense()", "dense"},
-	}
-	for _, c := range cases {
+	for _, c := range specRoundTripCases {
 		s, err := Parse(c.src)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", c.src, err)

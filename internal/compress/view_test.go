@@ -169,48 +169,6 @@ func TestPeriodicViewStepPhase(t *testing.T) {
 	}
 }
 
-// TestBucketedViewMatchesFlat: the whole-vector view surface of Bucketed
-// produces the same per-bucket payload bits and synchronized gradient as the
-// flat surface.
-func TestBucketedViewMatchesFlat(t *testing.T) {
-	const p, n = 2, 3000
-	bounds := []int{0, 700, 1800, n}
-	grads := make([][]float32, p)
-	for r := range grads {
-		grads[r] = randGrad(uint64(60+r), n)
-	}
-	build := func(rank int) Algorithm {
-		o := DefaultOptions(n)
-		o.Seed = uint64(rank + 1)
-		return NewBucketed(bounds, func(b, bn int) Algorithm {
-			bo := o
-			bo.N = bn
-			bo.Seed = o.Seed + uint64(b)
-			if b == 1 {
-				q, err := Build(&Spec{Name: "qsgd"}, bo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return q
-			}
-			tk, err := Build(&Spec{Name: "topk"}, bo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tk
-		})
-	}
-	flat := runSync(t, p, build, grads)
-	viewed := runSyncView(t, p, build, grads)
-	for r := 0; r < p; r++ {
-		for i := range flat[r] {
-			if math.Float32bits(flat[r][i]) != math.Float32bits(viewed[r][i]) {
-				t.Fatalf("rank %d [%d]: view %v != flat %v", r, i, viewed[r][i], flat[r][i])
-			}
-		}
-	}
-}
-
 // refEliasEncode is the historical per-bit QSGDElias encoder (scalar
 // quantization loop + bitWriter), kept as the wire-format reference for the
 // batched writer: same levels in the same RNG order, same MSB-first stream,

@@ -16,10 +16,13 @@
 // the candidate set, an auto-planned schedule is never modelled slower than
 // the best hand-tuned uniform configuration over the same grid.
 //
-// Lower converts a legacy hand-tuned configuration (BucketBytes + Policy +
-// Topology) into the trivial Schedule it denotes, without pricing anything;
-// running the lowered schedule is bitwise-identical to running the flat
-// configuration (same bounds, same specs, same per-bucket seeds).
+// Lower converts a hand-tuned configuration (Policy + BucketBytes +
+// Topology + Overlap) into the trivial Schedule it denotes, without pricing
+// anything. It is the a2sgd façade's production path: every TrainConfig
+// that is neither a pre-built Schedule nor the "auto" policy is lowered, so
+// the cluster always runs a Schedule. Running the lowered schedule is
+// bitwise-identical to running the same knobs through cluster.Config
+// directly (same bounds, same specs, same per-bucket seeds).
 //
 // Dataflow:
 //

@@ -12,8 +12,9 @@ import (
 // Schedule is a complete, priced synchronization plan for one training
 // configuration: where the gradient is cut into buckets, which algorithm
 // spec synchronizes each bucket, and which topology the collectives run on.
-// cluster.Config and a2sgd.TrainConfig accept one in place of the hand-tuned
-// BucketBytes/Policy/Topology knobs.
+// cluster.Config accepts one in place of its BucketBytes/Topology/Overlap
+// knobs; the a2sgd façade runs every configuration as one (planned by Build
+// or lowered from Spec/Policy/BucketBytes/Topology/Overlap by Lower).
 type Schedule struct {
 	// Workers is the data-parallel width the schedule was planned for.
 	Workers int
@@ -32,10 +33,10 @@ type Schedule struct {
 	Overlap bool
 	// Policy is the canonical policy string that produced Specs — the auto
 	// policy's spec for planned schedules, the source policy for lowered
-	// legacy configurations.
+	// hand-tuned configurations.
 	Policy string
 	// PricedOn labels the network model the schedule was priced on (empty
-	// for lowered legacy schedules, which are never priced).
+	// for lowered schedules, which are never priced).
 	PricedOn string
 	// PipelinedSyncSec and SerialSyncSec are the modelled per-step
 	// encode+synchronization makespans of this schedule on that model.
@@ -457,23 +458,20 @@ func splitTail(segs []nn.Segment, p nn.BucketPlan, tailBudget int) (nn.BucketPla
 	return refined, true
 }
 
-// Lower converts a hand-tuned configuration into the trivial schedule it
-// denotes: PlanBuckets boundaries at the fixed budget, the policy's spec for
-// every bucket, the given topology and overlap flags, and no pricing.
-// Running the lowered schedule is bitwise-identical to running the legacy
-// knobs directly — same bounds, same specs, and (through
-// compress.BucketSeed) the same per-bucket compression seeds.
+// Lower converts a hand-tuned configuration — an algorithm spec or policy
+// plus a fixed bucket budget, topology width and overlap flag — into the
+// trivial schedule it denotes: PlanBuckets boundaries at the budget, the
+// policy's spec for every bucket, and no pricing. It is how the a2sgd façade
+// turns every non-planned TrainConfig into the Schedule the cluster runs.
+// Running the lowered schedule is bitwise-identical to running the same
+// knobs through cluster.Config directly — same bounds, same specs, and
+// (through compress.BucketSeed) the same per-bucket compression seeds.
 func Lower(segs []nn.Segment, pol compress.Policy, bucketBytes, topology int, overlap bool, workers int) *Schedule {
 	p := nn.PlanBuckets(segs, bucketBytes)
-	specs := make([]*compress.Spec, len(p.Buckets))
-	for b, bk := range p.Buckets {
-		layers := make([]string, len(bk.Segments))
-		for i, sg := range bk.Segments {
-			layers[i] = sg.Name
-		}
-		specs[b] = pol.SpecFor(compress.BucketInfo{
-			Index: b, Params: bk.Len, Bytes: int64(4 * bk.Len), Layers: layers,
-		})
+	infos := BucketInfos(p)
+	specs := make([]*compress.Spec, len(infos))
+	for b, info := range infos {
+		specs[b] = pol.SpecFor(info)
 	}
 	return &Schedule{
 		Workers:  workers,
@@ -483,6 +481,22 @@ func Lower(segs []nn.Segment, pol compress.Policy, bucketBytes, topology int, ov
 		Overlap:  overlap,
 		Policy:   pol.Name(),
 	}
+}
+
+// BucketInfos derives each bucket's policy-facing metadata — index, element
+// count, raw byte size and covered layer names — from a bucket plan.
+func BucketInfos(p nn.BucketPlan) []compress.BucketInfo {
+	infos := make([]compress.BucketInfo, len(p.Buckets))
+	for b, bk := range p.Buckets {
+		layers := make([]string, len(bk.Segments))
+		for i, sg := range bk.Segments {
+			layers[i] = sg.Name
+		}
+		infos[b] = compress.BucketInfo{
+			Index: b, Params: bk.Len, Bytes: int64(4 * bk.Len), Layers: layers,
+		}
+	}
+	return infos
 }
 
 // PriceUniform prices the hand-tuned uniform configuration — one spec, one
